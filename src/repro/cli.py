@@ -49,7 +49,6 @@ live queues against closed-form network-calculus delay/backlog bounds
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -737,11 +736,7 @@ def _instrumented_benchmarks(names: list, args: argparse.Namespace) -> dict:
     the sampler's steal time).
     """
     from .obs import PerfCounters, SamplingProfiler, run_benchmark
-    from .sim import default_kernel
 
-    # Stamp artifacts with the active kernel so wheel-vs-heap profiles
-    # are distinguishable side by side in CI artifact listings.
-    kernel = default_kernel()
     docs: dict = {}
     for name in names:
         profiler = SamplingProfiler(hz=args.flamegraph_hz) if args.flamegraph else None
@@ -755,17 +750,16 @@ def _instrumented_benchmarks(names: list, args: argparse.Namespace) -> dict:
         if profiler is not None:
             base = Path(args.out_dir)
             collapsed = profiler.write_collapsed(
-                base / f"FLAME_{name}.{kernel}.collapsed.txt"
+                base / f"FLAME_{name}.collapsed.txt"
             )
             speedscope = profiler.write_speedscope(
-                base / f"FLAME_{name}.{kernel}.speedscope.json",
-                name=f"{name} [{kernel}]",
+                base / f"FLAME_{name}.speedscope.json", name=name
             )
             print(f"flamegraph: {speedscope} ({profiler.samples} samples; "
                   f"collapsed stacks: {collapsed})")
         if args.perf:
             print(PerfCounters.from_dict(docs[name]["perf"]).render(
-                title=f"{name}: perf attribution [{kernel} kernel]"
+                title=f"{name}: perf attribution"
             ))
             print()
     return docs
@@ -889,21 +883,27 @@ def _scenario_spec(args: argparse.Namespace):
 
 def cmd_scenario(args: argparse.Namespace) -> int:
     """Run one scenario spec, or search its adversarial delay space."""
-    from .scenario import run_delay_search, run_scenario
+    from .network.builder import graph_from_spec
+    from .scenario import run_delay_search, run_scenario, validate_scenario
 
     try:
         spec = _scenario_spec(args)
+        if args.action == "run":
+            # The spec owns the substrate: its topology and (C, P)
+            # override the command-line flags so a saved spec replays
+            # exactly.
+            args.topology, args.C, args.P = spec.topology, spec.C, spec.P
+            net, stats = _obs_net(args)
+            validate_scenario(spec, net.graph)
+        else:
+            validate_scenario(spec, graph_from_spec(spec.topology))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     if args.action == "run":
-        # The spec owns the substrate: its topology and (C, P) override
-        # the command-line flags so a saved spec replays exactly.
-        args.topology, args.C, args.P = spec.topology, spec.C, spec.P
         if args.monitor is None:
             args.monitor = "churn"
-        net, stats = _obs_net(args)
         host = _attach_monitors(args, net, command="scenario")
         row = run_scenario(net, spec, monitor=False)
         print(format_table(
@@ -1245,17 +1245,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def kernel_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--kernel", choices=("heap", "wheel"), default=None,
-                       help="event-kernel implementation; sets the "
-                            "REPRO_KERNEL default for this process and "
-                            "its workers (default: env, else heap); "
-                            "never changes behaviour, only speed")
-
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--topology", default="random:64,0",
                        help="e.g. ring:64, grid:6,8, random:128,7 (default %(default)s)")
-        kernel_arg(p)
         p.add_argument("--C", type=float, default=0.0,
                        help="hardware delay bound (default %(default)s)")
         p.add_argument("--P", type=float, default=1.0,
@@ -1330,7 +1322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("globalfn", help="optimal aggregation trees (E7-E10)")
-    kernel_arg(p)
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--P", type=float, default=1.0)
     p.add_argument("--C", type=float, default=1.0)
@@ -1411,7 +1402,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the benchmark telemetry suite, write BENCH_*.json, "
              "gate regressions",
     )
-    kernel_arg(p)
     p.add_argument("--name", default=None, metavar="LIST",
                    help="comma list of benchmarks (default: all; see --list)")
     p.add_argument("--out-dir", default=".", metavar="DIR",
@@ -1447,7 +1437,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "runs serially)")
     p.add_argument("--flamegraph", action="store_true",
                    help="sample each benchmark's stack and write "
-                        "FLAME_<name>.<kernel>.collapsed.txt + "
+                        "FLAME_<name>.collapsed.txt + "
                         ".speedscope.json next to the documents "
                         "(runs serially)")
     p.add_argument("--flamegraph-hz", type=float, default=251.0,
@@ -1518,7 +1508,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("workload", choices=CAMPAIGN_WORKLOADS,
                    help="which task family to run")
-    kernel_arg(p)
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="worker processes (default %(default)s); rows are "
                         "byte-identical for any N")
@@ -1585,12 +1574,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point (``python -m repro ...``)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    kernel = getattr(args, "kernel", None)
-    if kernel is not None:
-        # One mechanism for every command: ``--kernel`` becomes the
-        # process-wide env default, which schedulers read at
-        # construction and campaign workers inherit.
-        os.environ["REPRO_KERNEL"] = kernel
     try:
         return args.func(args)
     except Exception:

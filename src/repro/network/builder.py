@@ -108,7 +108,12 @@ def graph_from_spec(spec: str) -> nx.Graph:
             f"unknown topology {name!r}; choose from "
             f"{sorted(TOPOLOGY_FACTORIES)}"
         )
-    args = [int(a) for a in argstr.split(",") if a.strip()] if argstr else []
+    try:
+        args = [int(a) for a in argstr.split(",") if a.strip()] if argstr else []
+    except ValueError:
+        raise ValueError(
+            f"bad topology spec {spec!r}: arguments must be integers"
+        ) from None
     try:
         return TOPOLOGY_FACTORIES[name](*args)
     except TypeError as exc:

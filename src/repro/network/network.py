@@ -52,7 +52,6 @@ class Network:
         trace: bool = False,
         trace_capacity: int | None = None,
         datalink_delay: float = 0.0,
-        kernel: str | None = None,
         copy_graph: bool = True,
     ) -> None:
         """Assemble the substrate from ``graph``.
@@ -83,7 +82,6 @@ class Network:
                 trace=trace,
                 trace_capacity=trace_capacity,
                 datalink_delay=datalink_delay,
-                kernel=kernel,
                 copy_graph=copy_graph,
             )
         finally:
@@ -99,15 +97,10 @@ class Network:
         trace: bool,
         trace_capacity: int | None,
         datalink_delay: float,
-        kernel: str | None,
         copy_graph: bool,
     ) -> None:
         self.graph = nx.Graph(graph) if copy_graph else graph
-        #: ``kernel`` picks the event-kernel implementation ("heap" /
-        #: "wheel"; ``None`` = the ``REPRO_KERNEL`` env default) — a
-        #: pure performance choice, never a behavioural one (the fired
-        #: event sequence is kernel-invariant).
-        self.scheduler = Scheduler(kernel=kernel)
+        self.scheduler = Scheduler()
         self.delays = delays if delays is not None else limiting_model()
         self.metrics = MetricsCollector()
         self.trace = Trace(enabled=trace, capacity=trace_capacity)
@@ -355,9 +348,7 @@ class Network:
 
         Returns ``self`` so callers can chain ``net.reset().attach(...)``.
         """
-        # Preserve the kernel choice across reset: a pooled substrate
-        # must replay on the same kernel it was built with.
-        self.scheduler = Scheduler(kernel=self.scheduler.kernel)
+        self.scheduler = Scheduler()
         self.metrics = MetricsCollector()
         self.trace = Trace(enabled=self.trace.enabled, capacity=self.trace.capacity)
         self.outputs = {}

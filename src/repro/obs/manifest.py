@@ -25,10 +25,18 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from ..sim.kernel import default_kernel as _default_kernel
-
 if TYPE_CHECKING:  # pragma: no cover
     from ..network.network import Network
+
+#: Fields older manifests carried that no longer exist; :meth:`load`
+#: drops them so stored documents keep loading.  ``kernel`` named the
+#: event-kernel implementation when the simulator had two.
+_RETIRED_FIELDS = frozenset({"kernel"})
+
+
+def _read_fields(path: str | Path) -> dict[str, Any]:
+    data = json.loads(Path(path).read_text())
+    return {k: v for k, v in data.items() if k not in _RETIRED_FIELDS}
 
 
 def git_revision() -> str | None:
@@ -74,12 +82,6 @@ class RunManifest:
     #: This process's substrate-pool counters (``None`` if the pool was
     #: never used): ``{"builds": ..., "reuses": ...}``.
     substrate_pool: dict[str, int] | None = None
-    #: Event-kernel implementation the run's scheduler used ("heap" /
-    #: "wheel").  Like ``substrate_reuse``, deliberately outside spec
-    #: hashes — the fired event sequence is kernel-invariant, so the
-    #: manifest is the provenance record of which kernel produced a
-    #: (wall-clock) measurement.
-    kernel: str | None = None
     git: str | None = None
     python: str = ""
     platform: str = ""
@@ -121,7 +123,6 @@ class RunManifest:
             trace_dropped=net.trace.dropped,
             substrate_reuse=reuse_enabled(),
             substrate_pool=pool_stats(),
-            kernel=net.scheduler.kernel,
             git=git_revision(),
             python=sys.version.split()[0],
             platform=platform.platform(),
@@ -143,8 +144,7 @@ class RunManifest:
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
         """Read back a manifest written by :meth:`write`."""
-        data = json.loads(Path(path).read_text())
-        return cls(**data)
+        return cls(**_read_fields(path))
 
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -176,9 +176,6 @@ class CampaignManifest:
     #: State of the ``REPRO_SUBSTRATE_REUSE`` gate in the driver when
     #: the campaign ran (workers inherit the environment).
     substrate_reuse: bool | None = None
-    #: Event-kernel default in the driver when the campaign ran
-    #: (workers inherit it through ``REPRO_KERNEL``).
-    kernel: str | None = None
     #: Campaign-wide perf attribution: every task's
     #: :class:`~repro.obs.perf.PerfCounters` merged
     #: (:meth:`CampaignOutcome.merged_perf`); ``None`` unless the
@@ -227,7 +224,6 @@ class CampaignManifest:
             wall_ms=round(outcome.wall_ms, 3),
             tasks=tasks,
             substrate_reuse=reuse_enabled(),
-            kernel=_default_kernel(),
             perf=outcome.merged_perf(),
             git=git_revision(),
             python=sys.version.split()[0],
@@ -250,5 +246,4 @@ class CampaignManifest:
     @classmethod
     def load(cls, path: str | Path) -> "CampaignManifest":
         """Read back a manifest written by :meth:`write`."""
-        data = json.loads(Path(path).read_text())
-        return cls(**data)
+        return cls(**_read_fields(path))

@@ -10,7 +10,12 @@ task; and the search driver explores adversarial delay assignments
 within (C, P) bounds against the closed-form bounds.
 """
 
-from .compiler import CompiledScenario, compile_scenario, schedule_failure_actions
+from .compiler import (
+    CompiledScenario,
+    compile_scenario,
+    schedule_failure_actions,
+    validate_scenario,
+)
 from .runner import attach_protocol, run_scenario, scenario_metrics
 from .search import (
     delay_search_specs,
@@ -42,4 +47,5 @@ __all__ = [
     "scenario_metrics",
     "schedule_failure_actions",
     "search_report",
+    "validate_scenario",
 ]

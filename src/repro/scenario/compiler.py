@@ -21,7 +21,13 @@ from typing import TYPE_CHECKING, Any, Iterable
 from .spec import ScenarioEvent, ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
+
     from ..network.network import Network
+
+#: Ops whose target is one node / one ``(u, v)`` link.
+_NODE_OPS = frozenset({"fail_node", "restore_node", "crash", "restart"})
+_LINK_OPS = frozenset({"fail_link", "restore_link"})
 
 
 def _reelect(net: "Network") -> None:
@@ -45,6 +51,43 @@ def _reelect(net: "Network") -> None:
     )
 
 
+def _target_problem(op: str, target: Any, graph: "nx.Graph") -> str | None:
+    """Why ``target`` is unusable for ``op`` on ``graph`` (``None`` if fine)."""
+
+    def nodes(value: Any) -> bool:
+        return isinstance(value, tuple) and all(map(graph.has_node, value))
+
+    if op in _NODE_OPS:
+        if not graph.has_node(target):
+            return f"node {target!r} is not in the topology"
+    elif op in _LINK_OPS:
+        if not (nodes(target) and len(target) == 2 and graph.has_edge(*target)):
+            return f"{target!r} is not a link of the topology"
+    elif op == "partition":
+        if not (isinstance(target, tuple) and all(map(nodes, target))):
+            return "partition target must be a list of lists of topology nodes"
+    elif op == "start":
+        if target is not None and not nodes(target):
+            return "start target must be null or a list of topology nodes"
+    return None
+
+
+def validate_scenario(spec: ScenarioSpec, graph: "nx.Graph") -> None:
+    """Check every event target against ``graph`` before anything runs.
+
+    Raises ``ValueError`` naming the first bad event, so a spec that
+    crashes a missing node or fails a non-link is rejected up front
+    instead of surfacing as a ``KeyError`` mid-run.
+    """
+    for index, event in enumerate(spec.events):
+        problem = _target_problem(event.op, event.target, graph)
+        if problem is not None:
+            raise ValueError(
+                f"scenario {spec.name!r}: event {index} "
+                f"({event.op} at t={event.at:g}): {problem}"
+            )
+
+
 @dataclass(frozen=True)
 class CompiledScenario:
     """Receipt for one compiled spec (diagnostics, not a handle)."""
@@ -61,8 +104,11 @@ def compile_scenario(net: "Network", spec: ScenarioSpec) -> CompiledScenario:
     scheduler's (time, priority, sequence) ordering then fixes the
     execution order deterministically.  The caller is responsible for
     having attached a protocol first when the spec needs one
-    (``restart``/``reelect`` require a remembered factory).
+    (``restart``/``reelect`` require a remembered factory).  Targets
+    are checked first (:func:`validate_scenario`), so a bad spec
+    schedules nothing.
     """
+    validate_scenario(spec, net.graph)
     scheduler = net.scheduler
     for event in spec.events:
         op, target, at = event.op, event.target, event.at

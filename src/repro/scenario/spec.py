@@ -92,6 +92,11 @@ class ScenarioEvent:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioEvent":
+        if not isinstance(data, Mapping) or "at" not in data or "op" not in data:
+            raise ValueError(
+                f"a scenario event must be an object with 'at' and 'op', "
+                f"got {data!r}"
+            )
         return cls(
             at=float(data["at"]), op=data["op"], target=data.get("target")
         )
@@ -136,15 +141,25 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
+        if not isinstance(data, Mapping):
+            raise ValueError("a scenario spec must be a JSON object")
+        missing = [key for key in ("name", "topology") if key not in data]
+        if missing:
+            raise ValueError(
+                f"scenario spec is missing required field(s): {', '.join(missing)}"
+            )
+        events = data.get("events", ())
+        if not isinstance(events, (list, tuple)):
+            raise ValueError(
+                f"scenario spec 'events' must be a list, got {type(events).__name__}"
+            )
         return cls(
             name=data["name"],
             topology=data["topology"],
             C=float(data.get("C", 0.0)),
             P=float(data.get("P", 1.0)),
             protocol=data.get("protocol", "election"),
-            events=tuple(
-                ScenarioEvent.from_dict(event) for event in data.get("events", ())
-            ),
+            events=tuple(ScenarioEvent.from_dict(event) for event in events),
         )
 
     def to_json(self) -> str:

@@ -10,7 +10,6 @@ from repro.obs import (
     bench_path,
     benchmark_names,
     compare_documents,
-    kernel_speedup,
     load_bench_document,
     regressions,
     render_comparison,
@@ -44,22 +43,6 @@ def test_run_benchmark_produces_document_with_manifest():
 def test_run_benchmark_rejects_unknown_name():
     with pytest.raises(ValueError, match="unknown benchmark"):
         run_benchmark("nope")
-
-
-def test_run_benchmark_records_kernel(monkeypatch):
-    assert "kernel_scale" in benchmark_names()
-    monkeypatch.setenv("REPRO_KERNEL", "wheel")
-    doc = run_benchmark("broadcast_grid")
-    assert doc["manifest"]["kernel"] == "wheel"
-
-
-def test_kernel_speedup_interleaves_and_checks_determinism():
-    ratio = kernel_speedup("broadcast_grid", rounds=1)
-    assert ratio > 0.0
-    # Same kernel on both sides: determinism check must pass and the
-    # ratio must hover around 1 (loose — wall clock drifts).
-    assert kernel_speedup("broadcast_grid", rounds=1,
-                          kernels=("heap", "heap")) > 0.0
 
 
 def test_document_roundtrip(tmp_path):
@@ -172,3 +155,12 @@ def test_substrate_scale_benchmark_and_gates():
         assert key in DEFAULT_THRESHOLDS, key
     assert "build_speedup" in HIGHER_IS_BETTER
     assert "bytes_per_node_ratio" not in HIGHER_IS_BETTER
+
+
+def test_bench_cli_has_no_kernel_option(capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--kernel", "heap"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --kernel heap" in capsys.readouterr().err

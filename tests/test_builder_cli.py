@@ -229,3 +229,7 @@ def test_cli_topology_info_exact_diameter(capsys):
 def test_cli_topology_info_bad_spec(capsys):
     assert main(["topology", "info", "donut:12"]) == 1
     assert "unknown topology" in capsys.readouterr().err
+    assert main(["topology", "info", "clos:a,b"]) == 1
+    err = capsys.readouterr().err
+    assert "'clos:a,b'" in err and "must be integers" in err
+    assert err.count("\n") == 1

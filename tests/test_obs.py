@@ -10,6 +10,7 @@ import pytest
 from repro.core import BranchingPathsBroadcast, run_standalone_broadcast
 from repro.network.builder import from_spec
 from repro.obs import (
+    CampaignManifest,
     Histogram,
     LiveStats,
     RunManifest,
@@ -399,3 +400,16 @@ def test_manifest_collects_run_state(tmp_path):
     path = manifest.write(tmp_path / "run.manifest.json")
     loaded = RunManifest.load(path)
     assert loaded == manifest
+
+
+def test_manifests_with_retired_kernel_field_still_load(tmp_path):
+    # Manifests written while the simulator had two event kernels carry
+    # a "kernel" field; loading drops it instead of raising TypeError.
+    run = {"command": "broadcast", "n": 16, "kernel": "heap"}
+    path = tmp_path / "run.manifest.json"
+    path.write_text(json.dumps(run))
+    assert RunManifest.load(path) == RunManifest(command="broadcast", n=16)
+    campaign = {"command": "campaign", "jobs": 2, "kernel": "heap"}
+    path = tmp_path / "campaign.manifest.json"
+    path.write_text(json.dumps(campaign))
+    assert CampaignManifest.load(path) == CampaignManifest(command="campaign", jobs=2)

@@ -276,3 +276,60 @@ def test_compile_scenario_counts_events():
     compiled = compile_scenario(net, churn_spec())
     assert compiled.events == len(churn_spec().events)
     assert compiled.last_event_time == churn_spec().last_event_time
+
+
+# ----------------------------------------------------------------------
+# Malformed specs: rejected before the first event fires
+# ----------------------------------------------------------------------
+def _run_spec_file(tmp_path, capsys, doc: dict, action: str = "run") -> tuple[int, str]:
+    from repro.cli import main
+
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code = main(["scenario", action, "--spec", str(path), "--no-cache"])
+    return code, capsys.readouterr().err
+
+
+def test_cli_rejects_spec_without_name(tmp_path, capsys):
+    code, err = _run_spec_file(tmp_path, capsys, {"topology": "ring:5"})
+    assert code == 2
+    assert err == "error: scenario spec is missing required field(s): name\n"
+
+
+def test_cli_rejects_crash_of_unknown_node(tmp_path, capsys):
+    doc = {"name": "x", "topology": "ring:5",
+           "events": [{"at": 1, "op": "crash", "target": 99}]}
+    for action in ("run", "search"):
+        code, err = _run_spec_file(tmp_path, capsys, doc, action)
+        assert code == 2
+        assert err.startswith("error: scenario 'x': event 0 (crash at t=1)")
+        assert "node 99 is not in the topology" in err and err.count("\n") == 1
+
+
+def test_cli_rejects_fail_link_on_non_edge(tmp_path, capsys):
+    doc = {"name": "x", "topology": "ring:5",
+           "events": [{"at": 0, "op": "start"},
+                      {"at": 1, "op": "fail_link", "target": [0, 3]}]}
+    code, err = _run_spec_file(tmp_path, capsys, doc)
+    assert code == 2
+    assert "event 1 (fail_link at t=1): (0, 3) is not a link" in err
+    assert err.count("\n") == 1
+
+
+def test_cli_rejects_non_list_events(tmp_path, capsys):
+    doc = {"name": "x", "topology": "ring:5", "events": {"at": 1, "op": "heal"}}
+    code, err = _run_spec_file(tmp_path, capsys, doc)
+    assert code == 2
+    assert err == "error: scenario spec 'events' must be a list, got dict\n"
+
+
+def test_compile_scenario_schedules_nothing_for_a_bad_spec():
+    net = limiting_net(topologies.ring(5))
+    spec = ScenarioSpec(
+        name="x", topology="ring:5",
+        events=(ScenarioEvent(at=0.0, op="start"),
+                ScenarioEvent(at=1.0, op="restart", target=7)),
+    )
+    with pytest.raises(ValueError, match="node 7 is not in the topology"):
+        compile_scenario(net, spec)
+    assert net.scheduler.pending == 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.sim import Scheduler, SimulationError
@@ -242,3 +244,172 @@ def test_observer_exceptions_propagate():
     sched.schedule(1.0, lambda: None)
     with pytest.raises(RuntimeError, match="observer blew up"):
         sched.run()
+
+
+# ----------------------------------------------------------------------
+# Ordering edges around run(until=) / stop_when / same-instant pushes
+# ----------------------------------------------------------------------
+def test_zero_delay_higher_priority_fires_before_pending_peers():
+    """An action scheduling a priority-0 event at the current instant
+    must see it fire before already-queued priority-2 peers."""
+    sched = Scheduler()
+    fired = []
+
+    def first():
+        fired.append("first")
+        sched.schedule(0.0, lambda: fired.append("urgent"), 0, "urgent")
+
+    sched.schedule(1.0, first, 2, "first")
+    sched.schedule(1.0, lambda: fired.append("second"), 2, "second")
+    sched.run()
+    assert fired == ["first", "urgent", "second"]
+
+
+def test_stop_when_then_same_instant_push_fires_after_remainder():
+    sched = Scheduler()
+    fired = []
+    for name in "abcde":
+        sched.schedule(1.0, lambda name=name: fired.append(name))
+    sched.run(stop_when=lambda: len(fired) >= 2)
+    assert fired == ["a", "b"]
+    # Same-instant pushes after the early stop fire *after* the
+    # remaining peers (their seqs are higher).
+    sched.schedule_at(1.0, lambda: fired.append("late"))
+    sched.run()
+    assert fired == ["a", "b", "c", "d", "e", "late"]
+
+
+def test_run_until_then_earlier_push_fires_first():
+    sched = Scheduler()
+    fired = []
+    sched.schedule(10.0, lambda: fired.append("late"))
+    sched.run(until=5.0)
+    assert sched.now == 5.0 and fired == []
+    sched.schedule(2.0, lambda: fired.append("early"))  # t=7 < 10
+    sched.run()
+    assert fired == ["early", "late"]
+
+
+def test_pending_ledger_balances_at_quiescence():
+    sched = Scheduler()
+    handles = [sched.schedule(float(i % 3), lambda: None) for i in range(20)]
+    for handle in handles[::4]:
+        handle.cancel()
+    assert sched.pending_live == 15
+    sched.run()
+    assert sched.pending == sched.pending_live == 0
+    assert sched.events_processed == 15
+
+
+# ----------------------------------------------------------------------
+# Randomized scripts checked against a naive oracle
+# ----------------------------------------------------------------------
+class _Script:
+    """Seeded random workload checked event by event against an oracle.
+
+    ``live`` is the oracle: every event scheduled and neither fired nor
+    cancelled.  Each action asserts on entry that the scheduler chose
+    the ``(time, priority, seq)`` minimum of ``live`` — before the
+    action schedules anything, since a zero-delay child at a lower
+    priority number legitimately sorts ahead of its pending peers.
+    """
+
+    #: Delay mix: heavy on repeated constants (many events per
+    #: timestamp), plus zero-delay and far-future values.
+    DELAYS = (0.0, 0.0, 0.5, 1.0, 1.0, 2.5, 7.0, 1500.0, 5000.0)
+
+    def __init__(self, sched: Scheduler, rng: random.Random) -> None:
+        self.sched = sched
+        self.rng = rng
+        self.live: dict[int, object] = {}
+        self.fired: list[tuple[float, int, int]] = []
+
+    def earliest(self) -> tuple[float, int, int] | None:
+        return min(
+            ((e.time, e.priority, e.seq) for e in self.live.values()),
+            default=None,
+        )
+
+    def _schedule(self, delay: float, action, priority: int) -> None:
+        # The action receives a one-slot list holding its own event.
+        handle: list = []
+        event = self.sched.schedule(delay, action, priority, f"p{priority}", (handle,))
+        handle.append(event)
+        self.live[id(event)] = event
+
+    def _fire(self, handle: list) -> None:
+        event = handle[0]
+        key = (event.time, event.priority, event.seq)
+        assert not event.cancelled
+        assert key == self.earliest()
+        assert self.sched.now == event.time
+        if self.fired:
+            assert event.time >= self.fired[-1][0]  # clock never runs backwards
+        del self.live[id(event)]
+        self.fired.append(key)
+
+    def _leaf(self, handle: list) -> None:
+        self._fire(handle)
+
+    def _spawner(self, handle: list) -> None:
+        self._fire(handle)
+        # Schedule from inside an action: zero-delay children at mixed
+        # priorities land at the current instant, some ahead of peers.
+        rng = self.rng
+        for _ in range(rng.randrange(3)):
+            delay = rng.choice((0.0, 0.0, 0.0, 1.0, 5000.0))
+            self._schedule(delay, self._leaf, rng.randrange(3))
+
+    def push(self, count: int) -> None:
+        rng = self.rng
+        for _ in range(count):
+            delay = rng.choice(self.DELAYS)
+            action = self._spawner if rng.random() < 0.3 else self._leaf
+            self._schedule(delay, action, rng.randrange(3))
+
+    def cancel_some(self, count: int) -> None:
+        rng = self.rng
+        for _ in range(count):
+            if not self.live:
+                return
+            event = rng.choice(list(self.live.values()))
+            del self.live[id(event)]
+            event.cancel()
+            event.cancel()  # double cancel must stay idempotent
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_randomized_scripts_match_oracle(seed):
+    sched = Scheduler()
+    rng = random.Random(seed)
+    script = _Script(sched, rng)
+    last_now = sched.now
+    for _ in range(10):
+        script.push(rng.randrange(1, 40))
+        script.cancel_some(rng.randrange(0, 6))
+        mode = rng.random()
+        if mode < 0.2:
+            for _ in range(rng.randrange(1, 8)):
+                quiescent = not script.live
+                assert sched.step() is not quiescent
+        elif mode < 0.3:
+            earliest = script.earliest()
+            assert sched.peek_time() == (earliest[0] if earliest else None)
+        elif mode < 0.8:
+            horizon = sched.now + rng.choice((0.0, 1.0, 3.0, 50.0, 10000.0))
+            sched.run(until=horizon)
+            assert all(e.time > horizon for e in script.live.values())
+        else:
+            budget = rng.randrange(1, 15)
+            base = sched.events_processed
+            sched.run(stop_when=lambda: sched.events_processed - base >= budget)
+            assert sched.events_processed - base == budget or not script.live
+        assert sched.pending_live == len(script.live)
+        assert sched.events_processed == len(script.fired)
+        assert sched.now >= last_now
+        last_now = sched.now
+    script.push(5)
+    sched.run()
+    assert not script.live
+    assert sched.pending == sched.pending_live == 0
+    assert sched.peek_time() is None
