@@ -26,6 +26,7 @@ and completion time uniformly (see :func:`run_standalone_broadcast`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Mapping
 
 from ..hardware.anr import IdLookup, build_anr, path_broadcast_anr
@@ -67,9 +68,21 @@ class BroadcastPlan:
         """Longest chain of paths (the time bound in units of P)."""
         return max((d.chain_depth for d in self.directives), default=0)
 
+    @cached_property
+    def _by_start(self) -> dict[Any, tuple[PathDirective, ...]]:
+        """Directives grouped by start node, each in plan order.
+
+        Built once per plan; ``cached_property`` writes into ``__dict__``,
+        so the map stays out of the fields behind ``repr``/``==``/``hash``.
+        """
+        groups: dict[Any, list[PathDirective]] = {}
+        for directive in self.directives:
+            groups.setdefault(directive.start, []).append(directive)
+        return {start: tuple(group) for start, group in groups.items()}
+
     def starting_at(self, node: Any) -> tuple[PathDirective, ...]:
         """Directives the given node must launch upon being informed."""
-        return tuple(d for d in self.directives if d.start == node)
+        return self._by_start.get(node, ())
 
     @property
     def covered(self) -> frozenset:

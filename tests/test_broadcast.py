@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import pytest
 
 from conftest import graph_adjacency, limiting_net
 from repro.core import (
     BranchingPathsBroadcast,
+    BroadcastPlan,
     DirectBroadcast,
+    paths_starting_at,
     plan_broadcast,
     run_standalone_broadcast,
 )
@@ -32,6 +35,70 @@ def test_plan_headers_route_every_node_once():
     # Header lengths: path hops + delivery marker.
     for directive in plan.directives:
         assert len(directive.header) == len(directive.nodes)
+
+
+FAMILY_GRAPHS = {
+    "grid": lambda: topologies.grid(4, 5),
+    "ring": lambda: topologies.ring(9),
+    "star": lambda: topologies.star(7),
+    "line": lambda: topologies.line(8),
+    "random": lambda: topologies.random_connected(30, 0.15, seed=3),
+    "hypercube": lambda: topologies.hypercube(4),
+    "torus": lambda: topologies.torus(4, 5),
+    "fat_tree:4": lambda: topologies.fat_tree(4),
+    "clos": lambda: topologies.clos(4, 3, 2),
+    "dragonfly": lambda: topologies.dragonfly(4, 3, 1),
+}
+
+
+def bfs_plan(graph, root=0):
+    net = limiting_net(graph)
+    return net, plan_broadcast(bfs_tree(net.adjacency(), root), net.id_lookup)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_GRAPHS))
+def test_starting_at_matches_linear_scan_in_plan_order(family):
+    net, plan = bfs_plan(FAMILY_GRAPHS[family]())
+    for node in net.nodes:
+        assert plan.starting_at(node) == paths_starting_at(plan.directives, node)
+    assert plan.starting_at("not-a-node") == ()
+
+
+def test_start_index_leaves_value_semantics_alone():
+    graph = topologies.fat_tree(4)
+    net, plan = bfs_plan(graph)
+    before = repr(plan)
+    for node in net.nodes:
+        plan.starting_at(node)
+    _, twin = bfs_plan(graph)
+    assert plan == twin
+    assert hash(plan) == hash(twin)
+    assert repr(plan) == before == repr(twin)
+    copy = pickle.loads(pickle.dumps(plan))
+    assert copy == plan
+    for node in net.nodes:
+        assert copy.starting_at(node) == paths_starting_at(plan.directives, node)
+
+
+class CountingTuple(tuple):
+    """A tuple that counts how often it is iterated."""
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_starting_at_iterates_directives_at_most_once():
+    net, plan = bfs_plan(topologies.grid(45, 45))
+    assert net.n >= 2000
+    directives = CountingTuple(plan.directives)
+    directives.iterations = 0
+    counted = BroadcastPlan(
+        root=plan.root, directives=directives, max_label=plan.max_label
+    )
+    launched = sum(len(counted.starting_at(node)) for node in net.nodes)
+    assert launched == len(plan.directives)
+    assert directives.iterations <= 1
 
 
 def test_broadcast_covers_all_nodes(small_graphs):
