@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from conftest import emit
 
 from repro.hardware.ncu import NCU
-from repro.hardware.switch import SwitchingSubsystem
+from repro.hardware.switch import Leg, SwitchingSubsystem
 from repro.sim.errors import SimulationError
 from repro.sim.events import Event
 from repro.sim.scheduler import Scheduler
@@ -180,8 +180,10 @@ def test_disabled_hooks_within_noise_of_seed_loop(capsys):
 # PR 6 added perf-counter hooks (``perf = x.perf; if perf is not None``)
 # to the hot functions: Scheduler._push (push count — the shared enqueue
 # fast path behind schedule/schedule_at), Scheduler.run (pop count +
-# wall timer + cancelled-drop count) and SwitchingSubsystem._forward
-# (hop count), plus a timed region in NCU._complete.  The replicas below
+# wall timer + cancelled-drop count), SwitchingSubsystem._forward and
+# Leg._commit (hop counts: the first hop of a forward, then the walked
+# transit hops of a cut-through leg), plus a timed region in
+# NCU._complete.  The replicas below
 # are those functions with exactly the perf lines removed — the same
 # methodology as SeedScheduler above, applied per-function so the gate
 # isolates precisely the code this PR added.  The classes are patched
@@ -191,6 +193,11 @@ def test_disabled_hooks_within_noise_of_seed_loop(capsys):
 FWD_LENGTH = 64
 FWD_PACKETS = 200
 FWD_REPEATS = 7
+#: Workload runs per timed sample.  Cut-through made one run ~10 ms (600
+#: events carry all 12,600 hops), too short to time against scheduler
+#: noise; three runs bring a sample back to the ~30 ms one run took when
+#: every hop was an event.
+FWD_NUMBER = 3
 
 
 def _push_noperf(self, time, action, priority, tag, args):
@@ -252,8 +259,8 @@ def _run_noperf(self, *, until=None, max_events=None, stop_when=None):
 
 
 def _forward_noperf(self, packet, port):
-    # The flow-control check stays in this replica: E16b isolates the
-    # perf lines only (E16c below isolates the fc check the same way).
+    # The flow-control checks stay in this replica: E16b isolates the
+    # perf lines only (E16c below isolates the fc checks the same way).
     net = self._node.net
     me = self._node.node_id
     link, other_id, receiving_normal, deliver = port
@@ -277,7 +284,8 @@ def _forward_noperf(self, packet, port):
         return
 
     now = net.scheduler.now
-    delay = net.delays.hardware_delay(link.key, packet.seq)
+    delays = net.delays
+    delay = delays.hardware_delay(link.key, packet.seq)
     arrival = link.fifo_arrival(me, now + delay)
     packet.hops += 1
     packet._reverse.append(receiving_normal)
@@ -295,7 +303,93 @@ def _forward_noperf(self, packet, port):
             link=link.key,
             to=other_id,
         )
+
+    header = packet.header
+    pos = packet.header_pos
+    end = len(header)
+    flag = self._copy_flag
+    step = None
+    if pos < end and header[pos] and not header[pos] & flag:
+        step = delays.fixed_hardware_delay
+    if step is not None:
+        port_by_id = deliver.__self__._port_by_id
+        here = other_id
+        ports = times = None
+        t = arrival
+        while pos < end:
+            next_id = header[pos]
+            if next_id & flag:
+                break
+            hop = port_by_id.get(next_id)
+            if hop is None:
+                break
+            hop_link = hop[0]
+            if not hop_link.active or hop_link.fc is not None:
+                break
+            if here == hop_link._u_id:
+                watermark = hop_link._arrival_u
+            else:
+                watermark = hop_link._arrival_v
+            t_next = t + step
+            if watermark > t_next:
+                t_next = watermark
+            if ports is None:
+                ports = [port, hop]
+                times = [now, t, t_next]
+            else:
+                ports.append(hop)
+                times.append(t_next)
+            t = t_next
+            here = hop[1]
+            port_by_id = hop[3].__self__._port_by_id
+            pos += 1
+        if ports is not None:
+            leg = Leg(net, packet, ports, times)
+            net._legs[leg] = None
+            leg.event = net.scheduler.schedule_at(t, Leg.land, 0, "hop", (leg,))
+            return
     net.scheduler.schedule_at(arrival, deliver, 0, "hop", (packet, link))
+
+
+def _commit_noperf(self, upto):
+    if upto <= 1:
+        return
+    net = self.net
+    packet = self.packet
+    ports, times = self.ports, self.times
+    hops = ports[1:upto]
+    keys = [hop[0].key for hop in hops]
+    net.metrics.count_hops(keys)
+    packet._reverse.extend([hop[2] for hop in hops])
+    walked = upto - 1
+    packet.hops += walked
+    packet.header_pos += walked
+    here = ports[0][1]
+    for (link, other_id, _, _), arrival in zip(hops, times[2 : upto + 1]):
+        if here == link._u_id:
+            if arrival > link._arrival_u:
+                link._arrival_u = arrival
+        elif arrival > link._arrival_v:
+            link._arrival_v = arrival
+        here = other_id
+    probe = net.probe
+    if probe is not None:
+        for key, departed in zip(keys, times[1:upto]):
+            probe.hop(key, departed)
+    trace = net.trace
+    if trace.enabled:
+        seq = packet.seq
+        here = ports[0][1]
+        for (link, other_id, _, _), departed in zip(hops, times[1:upto]):
+            trace.record(
+                departed,
+                TraceKind.PACKET_HOP,
+                here,
+                packet=seq,
+                link=link.key,
+                to=other_id,
+            )
+            here = other_id
 
 
 def _complete_noperf(self, job):
@@ -333,6 +427,7 @@ _STRIPPED = (
     (Scheduler, "_push", _push_noperf),
     (Scheduler, "run", _run_noperf),
     (SwitchingSubsystem, "_forward", _forward_noperf),
+    (Leg, "_commit", _commit_noperf),
     (NCU, "_complete", _complete_noperf),
 )
 
@@ -371,8 +466,8 @@ def forwarding_workload() -> int:
 def _measure_forwarding(stripped: bool) -> float:
     if stripped:
         with _perf_hooks_stripped():
-            return timeit.timeit(forwarding_workload, number=1)
-    return timeit.timeit(forwarding_workload, number=1)
+            return timeit.timeit(forwarding_workload, number=FWD_NUMBER)
+    return timeit.timeit(forwarding_workload, number=FWD_NUMBER)
 
 
 def test_dormant_perf_counters_within_noise_on_forwarding(capsys):
@@ -390,7 +485,7 @@ def test_dormant_perf_counters_within_noise_on_forwarding(capsys):
 
     base = best["perf hooks stripped (replica)"]
     rows = [
-        [name, seconds * 1e9 / events, seconds / base]
+        [name, seconds * 1e9 / (events * FWD_NUMBER), seconds / base]
         for name, seconds in best.items()
     ]
     emit(
@@ -412,10 +507,11 @@ def test_dormant_perf_counters_within_noise_on_forwarding(capsys):
 # ----------------------------------------------------------------------
 # The congestion PR added credit-based flow control to ``Link``; the
 # free-hardware forwarding path pays one ``fc = link.fc`` attribute load
-# plus an ``is not None`` check per hop when no limits are configured
-# (the default).  ``_forward_nofc`` below is ``_forward`` with exactly
-# those lines removed — the perf lines stay, so the gate isolates
-# precisely the flow-control check.
+# plus an ``is not None`` check per forward, and one more ``fc is not
+# None`` per walked transit hop, when no limits are configured (the
+# default).  ``_forward_nofc`` below is ``_forward`` with exactly those
+# checks removed — the perf lines stay, so the gate isolates precisely
+# the flow-control checks.
 
 
 def _forward_nofc(self, packet, port):
@@ -437,7 +533,8 @@ def _forward_nofc(self, packet, port):
         return
 
     now = net.scheduler.now
-    delay = net.delays.hardware_delay(link.key, packet.seq)
+    delays = net.delays
+    delay = delays.hardware_delay(link.key, packet.seq)
     arrival = link.fifo_arrival(me, now + delay)
     packet.hops += 1
     packet._reverse.append(receiving_normal)
@@ -458,9 +555,52 @@ def _forward_nofc(self, packet, port):
             link=link.key,
             to=other_id,
         )
-    net.scheduler.schedule_at(
-        arrival, deliver, priority=0, tag="hop", args=(packet, link)
-    )
+
+    header = packet.header
+    pos = packet.header_pos
+    end = len(header)
+    flag = self._copy_flag
+    step = None
+    if pos < end and header[pos] and not header[pos] & flag:
+        step = delays.fixed_hardware_delay
+    if step is not None:
+        port_by_id = deliver.__self__._port_by_id
+        here = other_id
+        ports = times = None
+        t = arrival
+        while pos < end:
+            next_id = header[pos]
+            if next_id & flag:
+                break
+            hop = port_by_id.get(next_id)
+            if hop is None:
+                break
+            hop_link = hop[0]
+            if not hop_link.active:
+                break
+            if here == hop_link._u_id:
+                watermark = hop_link._arrival_u
+            else:
+                watermark = hop_link._arrival_v
+            t_next = t + step
+            if watermark > t_next:
+                t_next = watermark
+            if ports is None:
+                ports = [port, hop]
+                times = [now, t, t_next]
+            else:
+                ports.append(hop)
+                times.append(t_next)
+            t = t_next
+            here = hop[1]
+            port_by_id = hop[3].__self__._port_by_id
+            pos += 1
+        if ports is not None:
+            leg = Leg(net, packet, ports, times)
+            net._legs[leg] = None
+            leg.event = net.scheduler.schedule_at(t, Leg.land, 0, "hop", (leg,))
+            return
+    net.scheduler.schedule_at(arrival, deliver, 0, "hop", (packet, link))
 
 
 @contextmanager
@@ -476,8 +616,8 @@ def _fc_hooks_stripped():
 def _measure_forwarding_nofc(stripped: bool) -> float:
     if stripped:
         with _fc_hooks_stripped():
-            return timeit.timeit(forwarding_workload, number=1)
-    return timeit.timeit(forwarding_workload, number=1)
+            return timeit.timeit(forwarding_workload, number=FWD_NUMBER)
+    return timeit.timeit(forwarding_workload, number=FWD_NUMBER)
 
 
 def test_dormant_flow_control_within_noise_on_forwarding(capsys):
@@ -495,7 +635,7 @@ def test_dormant_flow_control_within_noise_on_forwarding(capsys):
 
     base = best["fc check stripped (replica)"]
     rows = [
-        [name, seconds * 1e9 / events, seconds / base]
+        [name, seconds * 1e9 / (events * FWD_NUMBER), seconds / base]
         for name, seconds in best.items()
     ]
     emit(

@@ -1416,7 +1416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", action="append", metavar="METRIC=RATIO",
                    help="allowed current/baseline ratio for one metric "
                         "(repeatable; default 1.0, wall_ms 2.0, "
-                        "events_per_sec 0.5)")
+                        "events_per_sec and hops_per_sec 0.5)")
     p.add_argument("--list", action="store_true",
                    help="list registered benchmarks and exit")
     p.add_argument("--jobs", type=int, default=1, metavar="N",

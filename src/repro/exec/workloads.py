@@ -18,6 +18,7 @@ NONDETERMINISTIC_METRICS = frozenset(
     {
         "wall_ms",
         "events_per_sec",
+        "hops_per_sec",
         "build_ms",
         "reuse_run_ms",
         "rebuild_run_ms",

@@ -346,6 +346,11 @@ class Link:
                 depart = state.busy_until
             state.busy_until = depart + state.interval
         arrival = self.fifo_arrival(sender_id, depart + delay)
+        if self.fc is None:
+            # Draining a queue left behind by removed flow control: the
+            # watermark just moved past what cut-through legs planned
+            # for this link, so they go back to per-hop timing here.
+            net._split_legs(self)
         state.in_flight += 1
         state.xmits += 1
         occupancy = len(state.pending) + state.in_flight

@@ -17,8 +17,20 @@ over a link.  No system calls are counted here.
 Hot path
 --------
 ``receive`` → ``_forward`` → (scheduler) → ``_deliver`` → ``receive`` is
-the per-hop cycle and must be allocation-free in steady state:
+the forwarding cycle and must be allocation-free in steady state:
 
+* **cut-through**: when the delay model's ``fixed_hardware_delay`` is
+  a number, ``_forward`` keeps walking the port tables through every
+  following *pure transit* hop (a normal link ID over an active link
+  without flow control) and schedules one event, a :class:`Leg`, for
+  the whole run.  The walk stops where anything but switching happens:
+  a copy to the NCU, a group, the end of the header, a down link or a
+  flow-controlled link.  A leg with no walked hop is the plain per-hop
+  ``_deliver`` event, so there is one code path.  The walked hops are
+  accounted when the leg lands — hop count, reverse ANR, per-link
+  counts, FIFO watermarks, header cursor, probe, perf and time-stamped
+  ``PACKET_HOP`` records — and a link change while the leg flies
+  splits it back to per-hop (:meth:`Leg.split`);
 * the header is consumed by advancing ``packet.header_pos``, never by
   slicing (O(1) per hop instead of O(remaining header));
 * the ID-set match is one dict lookup into a **port table** built at
@@ -26,8 +38,8 @@ the per-hop cycle and must be allocation-free in steady state:
   far node ID, the receiving side's normal ID, the far SS's bound
   ``_deliver``), so no ``other()`` / ``ids_at()`` / ``repr`` work is
   redone per packet;
-* the in-flight leg is scheduled as the far side's long-lived
-  ``_deliver`` bound method plus ``args`` — no per-hop closure;
+* an event is scheduled as a long-lived callable (the far side's bound
+  ``_deliver``, or ``Leg.land``) plus ``args`` — no per-hop closure;
 * trace records are guarded on ``trace.enabled`` so a disabled trace
   costs one attribute load, not a kwargs dict;
 * capacity limits are opt-in: the free-hardware path pays one
@@ -37,7 +49,7 @@ the per-hop cycle and must be allocation-free in steady state:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from ..sim.trace import TraceKind
 from .ids import NCU_ID, LinkIdSpace
@@ -308,7 +320,13 @@ class SwitchingSubsystem:
                 )
 
     def _forward(self, packet: Packet, port: Port) -> None:
-        """Send the packet onward over one port, charging the C delay."""
+        """Send the packet onward over one port, charging the C delay.
+
+        Under a constant hardware delay the packet then cuts through
+        every following pure transit hop, and one event carries the
+        whole run (see :class:`Leg`).  The first hop is accounted here;
+        the rest when the leg lands.
+        """
         net = self._node.net
         me = self._node.node_id
         link, other_id, receiving_normal, deliver = port
@@ -332,7 +350,8 @@ class SwitchingSubsystem:
             return
 
         now = net.scheduler.now
-        delay = net.delays.hardware_delay(link.key, packet.seq)
+        delays = net.delays
+        delay = delays.hardware_delay(link.key, packet.seq)
         arrival = link.fifo_arrival(me, now + delay)
         packet.hops += 1
         packet._reverse.append(receiving_normal)
@@ -353,6 +372,59 @@ class SwitchingSubsystem:
                 link=link.key,
                 to=other_id,
             )
+
+        # Walk the port tables through every pure transit hop: a normal
+        # link ID (no copy bit; the NCU ID and group IDs are never in a
+        # port table) over an active link without flow control.  Each
+        # walked hop departs when the previous one arrives, clamped to
+        # its direction's FIFO watermark exactly as ``fifo_arrival``
+        # would clamp it then.  The first ID is screened before the
+        # delay model is asked, so forwards that end in a copy or at
+        # the NCU pay almost nothing for the walk.
+        header = packet.header
+        pos = packet.header_pos
+        end = len(header)
+        flag = self._copy_flag
+        step = None
+        if pos < end and header[pos] and not header[pos] & flag:
+            step = delays.fixed_hardware_delay
+        if step is not None:
+            port_by_id = deliver.__self__._port_by_id
+            here = other_id
+            ports = times = None
+            t = arrival
+            while pos < end:
+                next_id = header[pos]
+                if next_id & flag:
+                    break
+                hop = port_by_id.get(next_id)
+                if hop is None:
+                    break
+                hop_link = hop[0]
+                if not hop_link.active or hop_link.fc is not None:
+                    break
+                if here == hop_link._u_id:
+                    watermark = hop_link._arrival_u
+                else:
+                    watermark = hop_link._arrival_v
+                t_next = t + step
+                if watermark > t_next:
+                    t_next = watermark
+                if ports is None:
+                    ports = [port, hop]
+                    times = [now, t, t_next]
+                else:
+                    ports.append(hop)
+                    times.append(t_next)
+                t = t_next
+                here = hop[1]
+                port_by_id = hop[3].__self__._port_by_id
+                pos += 1
+            if ports is not None:
+                leg = Leg(net, packet, ports, times)
+                net._legs[leg] = None
+                leg.event = net.scheduler.schedule_at(t, Leg.land, 0, "hop", (leg,))
+                return
         net.scheduler.schedule_at(arrival, deliver, 0, "hop", (packet, link))
 
     def _deliver(self, packet: Packet, link: Link) -> None:
@@ -375,3 +447,118 @@ class SwitchingSubsystem:
                 )
             return
         self.receive(packet, link)
+
+
+class Leg:
+    """A run of hops flown as one scheduled event (cut-through).
+
+    ``ports[0]`` is the hop the forwarding SS accounted at departure;
+    ``ports[1:]`` are the pure transit hops after it.  ``times[k]`` is
+    hop ``k``'s departure and ``times[k + 1]`` its arrival, so
+    ``times[-1]`` is when the leg lands.  The walked hops are committed
+    — header cursor, hop count, reverse ANR, per-link counts, FIFO
+    watermark, probe, perf and ``PACKET_HOP`` records stamped with each
+    hop's departure — when the leg lands or when a link change splits
+    it, so the paper's accounting matches one event per hop.
+
+    What differs is the event stream: fewer events, and the landing
+    event is ordered among same-instant events as if pushed at the
+    leg's departure.  Simultaneous arrivals at one busy NCU may
+    therefore be served in another order; counts, final time and
+    delivery times do not move.  The walk's timing is fixed when the
+    leg departs, so a delay model swapped in mid-flight applies from
+    the next forward on.
+
+    While in flight a leg sits in its network's ``_legs`` registry (an
+    insertion-ordered dict, so splits happen in a deterministic order).
+    """
+
+    __slots__ = ("net", "packet", "ports", "times", "event")
+
+    def __init__(
+        self, net: Any, packet: Packet, ports: list[Port], times: list[float]
+    ) -> None:
+        self.net = net
+        self.packet = packet
+        self.ports = ports
+        self.times = times
+        self.event: Any = None
+
+    def land(self) -> None:
+        """The leg's event: commit every walked hop, then arrive."""
+        del self.net._legs[self]
+        ports = self.ports
+        self._commit(len(ports))
+        link, _, _, deliver = ports[-1]
+        deliver(self.packet, link)
+
+    def split(self, link: Link) -> None:
+        """``link`` changed now: fall back to per-hop if the leg cares.
+
+        The hop in flight is the last one that departed strictly before
+        now (the first hop always has).  If ``link`` is that hop or a
+        later one, the leg's event is cancelled, every departed hop (the
+        one in flight included) is committed, and the in-flight hop's
+        arrival becomes an ordinary ``_deliver`` event, so forwarding
+        from there on sees the change.
+        """
+        net = self.net
+        now = net.scheduler.now
+        ports, times = self.ports, self.times
+        flying = len(ports) - 1
+        while flying > 0 and times[flying] >= now:
+            flying -= 1
+        if not any(port[0] is link for port in ports[flying:]):
+            return
+        self.event.cancel()
+        del net._legs[self]
+        self._commit(flying + 1)
+        hop_link, _, _, deliver = ports[flying]
+        net.scheduler.schedule_at(
+            times[flying + 1], deliver, 0, "hop", (self.packet, hop_link)
+        )
+
+    def _commit(self, upto: int) -> None:
+        """Account walked hops ``1 .. upto - 1`` as ``_forward`` would."""
+        if upto <= 1:
+            return
+        net = self.net
+        packet = self.packet
+        ports, times = self.ports, self.times
+        hops = ports[1:upto]
+        keys = [hop[0].key for hop in hops]
+        net.metrics.count_hops(keys)
+        packet._reverse.extend([hop[2] for hop in hops])
+        walked = upto - 1
+        packet.hops += walked
+        packet.header_pos += walked
+        # FIFO watermarks, kept as a max, on the direction leaving ``here``.
+        here = ports[0][1]
+        for (link, other_id, _, _), arrival in zip(hops, times[2 : upto + 1]):
+            if here == link._u_id:
+                if arrival > link._arrival_u:
+                    link._arrival_u = arrival
+            elif arrival > link._arrival_v:
+                link._arrival_v = arrival
+            here = other_id
+        probe = net.probe
+        if probe is not None:
+            for key, departed in zip(keys, times[1:upto]):
+                probe.hop(key, departed)
+        perf = net.perf
+        if perf is not None:
+            perf.ss_hops += walked
+        trace = net.trace
+        if trace.enabled:
+            seq = packet.seq
+            here = ports[0][1]
+            for (link, other_id, _, _), departed in zip(hops, times[1:upto]):
+                trace.record(
+                    departed,
+                    TraceKind.PACKET_HOP,
+                    here,
+                    packet=seq,
+                    link=link.key,
+                    to=other_id,
+                )
+                here = other_id

@@ -98,6 +98,11 @@ class MetricsCollector:
         self.hops += 1
         self._hops_per_link[link_key] += 1
 
+    def count_hops(self, link_keys: list[Hashable]) -> None:
+        """Several traversals at once (a cut-through leg's walked hops)."""
+        self.hops += len(link_keys)
+        self._hops_per_link.update(link_keys)
+
     def count_injection(self, node: Any, header_len: int = 0) -> None:
         """One packet handed by an NCU to its switching subsystem."""
         self.packets_injected += 1

@@ -114,6 +114,10 @@ class Network:
 
         self._packet_seq = itertools.count(1)
         self._group_seq = itertools.count(0)
+        #: Cut-through legs in flight (see
+        #: :class:`repro.hardware.switch.Leg`): a link change splits
+        #: every leg that still has to cross the link.
+        self._legs: dict[Any, None] = {}
         self._datalink = DataLinkMonitor(self, delay=datalink_delay)
         #: Remembered by :meth:`attach` so crashed nodes can be
         #: restarted with fresh protocol instances.
@@ -254,6 +258,8 @@ class Network:
             targets = [self.link(u, v) for u, v in links]
         for link in targets:
             link.set_flow_control(rate=rate, buffer=buffer)
+            if link.fc is not None:
+                self._split_legs(link)
         return len(targets)
 
     def flow_states(self) -> "list[tuple[Link, Any]]":
@@ -358,6 +364,7 @@ class Network:
         self.__dict__.pop("perf", None)
         self._packet_seq = itertools.count(1)
         self._group_seq = itertools.count(0)
+        self._legs = {}
         self._protocol_factory = None
         if delays is not None:
             self.delays = delays
@@ -547,6 +554,7 @@ class Network:
             return
         link.active = active
         self._topology_version += 1
+        self._split_legs(link)
         if self.trace.enabled:
             self.trace.record(
                 self.scheduler.now,
@@ -556,6 +564,13 @@ class Network:
                 active=active,
             )
         self._datalink.link_changed(link)
+
+    def _split_legs(self, link: Link) -> None:
+        """Hand every in-flight leg still to cross ``link`` back to the
+        per-hop path, so the change is seen by every check from now on."""
+        if self._legs:
+            for leg in list(self._legs):
+                leg.split(link)
 
     # ------------------------------------------------------------------
     # Omniscient helpers (drivers and tests, not protocols)

@@ -6,7 +6,8 @@ machinery:
 
 * a small registry of named :class:`Benchmark`\\s, each a deterministic
   workload that reports a metric dict (simulation counters, which are
-  machine-independent, plus ``wall_ms`` / ``events_per_sec``, which are
+  machine-independent, plus ``wall_ms`` / ``events_per_sec`` /
+  ``hops_per_sec``, which are
   not);
 * :func:`run_benchmark` → a JSON document pairing the metrics with a
   full :class:`~repro.obs.manifest.RunManifest` (seed, topology,
@@ -15,7 +16,8 @@ machinery:
   what produced it;
 * :func:`compare_documents` — the regression gate: current vs baseline
   per metric, with a threshold ratio per metric and a direction
-  (``events_per_sec`` is better *higher*; everything else better
+  (``events_per_sec`` and ``hops_per_sec`` are better *higher*;
+  everything else better
   lower).  CI runs it against committed baselines and fails on breach.
 
 Determinism note: all simulation metrics (system calls, hops, events,
@@ -37,7 +39,13 @@ from .manifest import RunManifest
 
 #: Metrics where a *drop* (ratio below threshold) is the regression.
 HIGHER_IS_BETTER = frozenset(
-    {"events_per_sec", "reuse_speedup", "nodes_per_sec", "build_speedup"}
+    {
+        "events_per_sec",
+        "hops_per_sec",
+        "reuse_speedup",
+        "nodes_per_sec",
+        "build_speedup",
+    }
 )
 
 #: Default allowed current/baseline ratio per metric.  Deterministic
@@ -46,6 +54,9 @@ HIGHER_IS_BETTER = frozenset(
 DEFAULT_THRESHOLDS: dict[str, float] = {
     "wall_ms": 2.0,
     "events_per_sec": 0.5,
+    # One event carries a whole cut-through leg, so events/s moves with
+    # leg length; hops/s is the SS throughput a change must not lose.
+    "hops_per_sec": 0.5,
     "build_ms": 2.0,
     "reuse_run_ms": 2.0,
     "rebuild_run_ms": 2.0,
@@ -80,13 +91,15 @@ def _timed(net, drive: Callable[[], None]) -> dict[str, float]:
     drive()
     wall = time.perf_counter() - t0
     events = net.scheduler.events_processed
+    hops = net.metrics.hops
     return {
         "system_calls": float(net.metrics.system_calls),
-        "hops": float(net.metrics.hops),
+        "hops": float(hops),
         "sim_time": float(net.scheduler.now),
         "events": float(events),
         "wall_ms": wall * 1000.0,
         "events_per_sec": events / wall if wall > 0 else 0.0,
+        "hops_per_sec": hops / wall if wall > 0 else 0.0,
     }
 
 
@@ -433,6 +446,7 @@ def _bench_substrate_reuse() -> tuple[dict[str, float], RunManifest]:
         "reuse_speedup": best_rebuild / best_reuse if best_reuse > 0 else 0.0,
         "wall_ms": (best_reuse + best_rebuild) * 1000.0,
         "events_per_sec": events / best_reuse if best_reuse > 0 else 0.0,
+        "hops_per_sec": hops / best_reuse if best_reuse > 0 else 0.0,
     }
     manifest = RunManifest.collect(
         net, command="bench:substrate_reuse", topology=topology, C=0.4, P=1.0

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .delays import DelayModel, FixedDelays
-from .seeding import derive_seed
+from .seeding import _MASK64, derive_seed, splitmix64
 
 #: 53-bit mantissa mask: ``word & _MANTISSA`` over ``2**53`` is the
 #: standard uniform-in-[0, 1) construction.
@@ -63,11 +63,23 @@ class SeededAdversary(DelayModel):
         self.hardware_bound = self.hardware
         self.software_bound = self.software
         self._root = derive_seed(self.seed, "adversary")
+        #: ``(kind, component) -> derive_seed(root, kind, component)``.
+        #: Keyed on the component, not the target: ``True``/``1``,
+        #: ``1.0``/``1`` and ``(1, 2)``/``(1.0, 2)`` hash equal as
+        #: targets but are different seed components.
+        self._prefixes: dict[tuple[str, int | str], int] = {}
 
     def _draw(self, bound: float, kind: str, target: Any, seq: int) -> float:
         if bound == 0.0:
             return 0.0
-        word = derive_seed(self._root, kind, _component_key(target), seq)
+        component = _component_key(target)
+        key = (kind, component)
+        prefix = self._prefixes.get(key)
+        if prefix is None:
+            prefix = self._prefixes[key] = derive_seed(self._root, kind, component)
+        # derive_seed's last round, for the integer component ``seq``:
+        # equal to derive_seed(root, kind, component, seq).
+        word = splitmix64(prefix ^ splitmix64(seq & _MASK64))
         # Top 11 bits decide pin-at-bound; low 53 bits are the uniform.
         if (word >> 53) / 2048.0 < self.bias:
             return bound

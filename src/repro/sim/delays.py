@@ -51,6 +51,20 @@ class DelayModel(ABC):
     def software_delay(self, node_id: Hashable, job_seq: int) -> float:
         """Service time of one NCU job (one system call)."""
 
+    @property
+    def fixed_hardware_delay(self) -> float | None:
+        """The hardware delay every hop gets, or ``None`` if it varies.
+
+        Derived from the model, never configured.  The switching
+        subsystem flies a run of transit hops as one scheduled event
+        only when this is a number, because only then is every hop's
+        timing closed-form.  Zero-bound models qualify whatever their
+        kind: every delay in ``[0, 0]`` is 0.  Models that draw or
+        override per hop return ``None`` and keep the per-hop path, so
+        their draw order and FIFO clamping never move.
+        """
+        return 0.0 if self.hardware_bound == 0 else None
+
 
 @dataclass
 class FixedDelays(DelayModel):
@@ -76,6 +90,10 @@ class FixedDelays(DelayModel):
 
     def software_delay(self, node_id: Hashable, job_seq: int) -> float:
         return self.software
+
+    @property
+    def fixed_hardware_delay(self) -> float | None:
+        return self.hardware
 
 
 @dataclass

@@ -52,6 +52,33 @@ def test_adversary_draws_are_pure_functions_of_their_coordinates():
         assert b.hardware_delay(("u", "v"), i) == reference[i]
 
 
+def test_memoised_draws_equal_the_unmemoised_formula():
+    # The per-(kind, component) seed prefix is cached; every draw must
+    # still equal derive_seed over the full path.  The targets collide
+    # as dict keys (True == 1 == 1.0, (1, 2) == (1.0, 2)) but not as seed
+    # components, and they are interleaved so a target-keyed memo would
+    # hand one the other's prefix.
+    from repro.sim.adversary import _MANTISSA, _component_key
+    from repro.sim.seeding import derive_seed
+
+    model = SeededAdversary(hardware=2.0, software=3.0, seed=9)
+    root = derive_seed(9, "adversary")
+    targets = [True, 1, 1.0, (1, 2), (1.0, 2), "n", ("u", "v")]
+
+    def reference(bound, kind, target, seq):
+        word = derive_seed(root, kind, _component_key(target), seq)
+        if (word >> 53) / 2048.0 < model.bias:
+            return bound
+        return bound * ((word & _MANTISSA) / float(1 << 53))
+
+    for seq in range(10_000):
+        for target in targets:
+            kind, bound = ("hw", 2.0) if seq % 2 else ("sw", 3.0)
+            assert model._draw(bound, kind, target, seq) == reference(
+                bound, kind, target, seq
+            ), (kind, target, seq)
+
+
 def test_adversary_has_no_module_global_rng():
     import repro.sim.adversary as adversary
 

@@ -89,3 +89,29 @@ def test_perturbed_delays_reject_over_bound_override():
     model = PerturbedDelays(hardware=3.0, hardware_override=lambda k, s: 5.0)
     with pytest.raises(ValueError):
         model.hardware_delay(("a", "b"), 0)
+
+
+@pytest.mark.parametrize(
+    "model, expected",
+    [
+        (FixedDelays(0.5, 1.0), 0.5),
+        (limiting_model(), 0.0),
+        (RandomDelays(hardware=0.0, software=1.0, seed=3), 0.0),
+        (RandomDelays(hardware=1.0, software=1.0, seed=3), None),
+        (PerturbedDelays(hardware=0.0), 0.0),
+        (PerturbedDelays(hardware=1.0, hardware_override=lambda k, s: 0.5), None),
+    ],
+)
+def test_fixed_hardware_delay_is_derived_from_the_model(model, expected):
+    # Only a closed-form hop delay lets the SS fly transit hops as one
+    # event; every model that may draw or override per hop says None.
+    assert model.fixed_hardware_delay == expected
+    with pytest.raises(AttributeError):
+        model.fixed_hardware_delay = 1.0
+
+
+def test_adversary_is_fixed_only_at_zero_hardware_bound():
+    from repro.sim.adversary import SeededAdversary
+
+    assert SeededAdversary(0.0, 1.0, seed=1).fixed_hardware_delay == 0.0
+    assert SeededAdversary(0.5, 1.0, seed=1).fixed_hardware_delay is None
