@@ -147,10 +147,11 @@ def _execute(
 ) -> tuple[Any, float, dict[str, Any] | None]:
     """Run one spec; returns ``(json-normalised value, wall_ms, perf)``.
 
-    With ``collect_perf`` a process-global
-    :class:`~repro.obs.perf.PerfCounters` registry is active for the
-    duration of the task, so networks built *inside* the task function
-    (including substrate-pool builds/resets) are attributed to it; the
+    With ``collect_perf`` a :class:`~repro.obs.perf.PerfCounters`
+    registry is activated for the duration of the task, so networks
+    built or reset *inside* the task function (including substrate-pool
+    builds/resets) are attributed to it — and to any registry an
+    enclosing caller activated, since activations nest; the
     registry is returned serialised, ready to cross the pickle
     boundary.  Counter values are deterministic — only the wall-clock
     timers vary run to run — and collection never touches the task's

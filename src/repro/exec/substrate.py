@@ -27,6 +27,7 @@ from time import perf_counter as _perf_counter
 from ..network.builder import from_spec
 from ..network.network import Network
 from ..sim.delays import DelayModel
+from ..sim.sink import ambient
 
 #: Hashable pool key: everything that shapes the built substrate.
 PoolKey = tuple[str, int | None, bool, int | None, float]
@@ -134,21 +135,16 @@ class SubstratePool:
     def _note_build(self, dt: float) -> None:
         self.builds += 1
         self.build_seconds += dt
-        # Feed a globally activated perf registry (repro.obs.perf).
-        # Class-attribute read on purpose: pool activity belongs to
-        # process-wide attribution, not to any one network's install.
-        perf = Network.perf
-        if perf is not None:
-            perf.substrate_builds += 1
-            perf.substrate_build_s += dt
+        # Pool activity belongs to process-wide attribution (an
+        # activated PerfCounters), not to any one network's subscribers.
+        for sub in ambient():
+            sub.substrate(False, dt)
 
     def _note_reset(self, dt: float) -> None:
         self.reuses += 1
         self.reset_seconds += dt
-        perf = Network.perf
-        if perf is not None:
-            perf.substrate_resets += 1
-            perf.substrate_reset_s += dt
+        for sub in ambient():
+            sub.substrate(True, dt)
 
     def clear(self) -> None:
         """Drop all pooled networks (counters are kept)."""

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
-from ..sim.trace import TraceKind
-
 
 class LinkFlowState:
     """Per-direction flow-control state (owned by the sending side).
@@ -310,18 +308,10 @@ class Link:
             occupancy = len(state.pending) + state.in_flight
             if occupancy > state.max_occupancy:
                 state.max_occupancy = occupancy
-            probe = net.probe
-            if probe is not None:
-                probe.link_queue(self.key, occupancy, now)
-            perf = net.perf
-            if perf is not None:
-                perf.link_stalls += 1
-                perf.link_occupancy.add(occupancy)
-            trace = net.trace
-            if trace.enabled:
-                trace.record(now, TraceKind.QUEUE, sender_id,
-                             packet=packet.seq, link=self.key,
-                             occupancy=occupancy, stalled=len(state.pending))
+            sink = net.sink
+            if sink is not None:
+                sink.queue(now, sender_id, packet.seq, self.key, occupancy,
+                           len(state.pending))
             return
         self._fc_transmit(state, packet, port, now)
 
@@ -330,13 +320,12 @@ class Link:
         """Consume a credit and put ``packet`` on the wire."""
         net = self.node_u.net
         sender_id = state.sender
+        sink = net.sink
         if not self.active:
             net.metrics.count_drop("inactive_link")
-            trace = net.trace
-            if trace.enabled:
-                trace.record(net.scheduler.now, TraceKind.PACKET_DROPPED,
-                             sender_id, packet=packet.seq,
-                             reason="inactive_link", link=self.key)
+            if sink is not None:
+                sink.drop(net.scheduler.now, sender_id, packet.seq,
+                          "inactive_link", link=self.key)
             return
         now = net.scheduler.now
         delay = net.delays.hardware_delay(self.key, packet.seq)
@@ -362,19 +351,9 @@ class Link:
         packet.hops += 1
         packet._reverse.append(port[2])
         net.metrics.count_hop(self.key)
-        probe = net.probe
-        if probe is not None:
-            probe.hop(self.key, now)
-            probe.link_queue(self.key, occupancy, now)
-        perf = net.perf
-        if perf is not None:
-            perf.ss_hops += 1
-            perf.link_xmits += 1
-            perf.link_occupancy.add(occupancy)
-        trace = net.trace
-        if trace.enabled:
-            trace.record(now, TraceKind.PACKET_HOP, sender_id,
-                         packet=packet.seq, link=self.key, to=port[1])
+        if sink is not None:
+            sink.hop(now, sender_id, packet.seq, self.key, port[1])
+            sink.queue(now, sender_id, packet.seq, self.key, occupancy, None)
         net.scheduler.schedule_at(arrival, self._fc_arrive, priority=0,
                                   tag="hop", args=(packet, port, state))
 
@@ -388,7 +367,7 @@ class Link:
             now = net.scheduler.now
             waited = now - requested_at
             state.stall_time += waited
-            probe = net.probe
-            if probe is not None:
-                probe.link_stall(self.key, waited, now)
+            sink = net.sink
+            if sink is not None:
+                sink.release(now, self.key, waited)
             self._fc_transmit(state, waiter, waiter_port, requested_at)

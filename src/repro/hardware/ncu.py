@@ -400,19 +400,17 @@ class NCU:
         if kind is None:
             kind = job.accounting_kind
         net.metrics.count_system_call(node.node_id, kind)
-        trace = net.trace
-        if trace.enabled:
-            trace.record(
-                net.scheduler.now,
-                TraceKind.NCU_JOB_START,
-                node.node_id,
-                job=kind,
-                packet=job.payload.seq if isinstance(job.payload, Packet) else None,
-            )
         service = net.delays.software_delay(node.node_id, seq)
-        probe = net.probe
-        if probe is not None:
-            probe.ncu_job_start(node.node_id, kind, net.scheduler.now, service)
+        sink = net.sink
+        if sink is not None:
+            payload = job.payload
+            sink.ncu_begin(
+                net.scheduler.now,
+                node.node_id,
+                kind,
+                payload.seq if isinstance(payload, Packet) else None,
+                service,
+            )
         complete_cb = self._complete_cb
         if complete_cb is None:
             complete_cb = self._complete_cb = self._complete
@@ -429,30 +427,19 @@ class NCU:
         else:
             ports.clear()
         self.ports_used_this_call = ports
-        perf = net.perf
-        t0 = _perf_counter() if perf is not None else 0.0
+        sink = net.sink
+        t0 = _perf_counter() if sink is not None else 0.0
         try:
             self.handler(self._node.api, job)
         finally:
-            if perf is not None:
-                dt = _perf_counter() - t0
-                perf.ncu_jobs += 1
-                perf.ncu_handler_s += dt
-                perf.handler_us.add(dt * 1e6)
-            self.ports_used_this_call = None
-            trace = net.trace
-            if trace.enabled:
-                trace.record(
+            if sink is not None:
+                sink.ncu_end(
                     net.scheduler.now,
-                    TraceKind.NCU_JOB_END,
                     self._node.node_id,
-                    job=job.accounting_kind,
+                    job.accounting_kind,
+                    _perf_counter() - t0,
                 )
-            probe = net.probe
-            if probe is not None:
-                probe.ncu_job_end(
-                    self._node.node_id, job.accounting_kind, net.scheduler.now
-                )
+            self.ports_used_this_call = None
             self._busy = False
             self._service_event = None
             if self._queue:

@@ -28,8 +28,8 @@ the forwarding cycle and must be allocation-free in steady state:
   flow-controlled link.  A leg with no walked hop is the plain per-hop
   ``_deliver`` event, so there is one code path.  The walked hops are
   accounted when the leg lands — hop count, reverse ANR, per-link
-  counts, FIFO watermarks, header cursor, probe, perf and time-stamped
-  ``PACKET_HOP`` records — and a link change while the leg flies
+  counts, FIFO watermarks, header cursor and one time-stamped sink
+  ``hop`` per walked hop — and a link change while the leg flies
   splits it back to per-hop (:meth:`Leg.split`);
 * the header is consumed by advancing ``packet.header_pos``, never by
   slicing (O(1) per hop instead of O(remaining header));
@@ -40,8 +40,9 @@ the forwarding cycle and must be allocation-free in steady state:
   redone per packet;
 * an event is scheduled as a long-lived callable (the far side's bound
   ``_deliver``, or ``Leg.land``) plus ``args`` — no per-hop closure;
-* trace records are guarded on ``trace.enabled`` so a disabled trace
-  costs one attribute load, not a kwargs dict;
+* observation is one ``net.sink`` load per function and one typed call
+  per fact (:mod:`repro.sim.sink`); with nothing observing, a site
+  costs one attribute load and one identity check, not a kwargs dict;
 * capacity limits are opt-in: the free-hardware path pays one
   ``link.fc is not None`` check per hop, and flow-controlled links
   divert to :meth:`repro.hardware.link.Link.fc_forward`.
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from ..sim.trace import TraceKind
 from .ids import NCU_ID, LinkIdSpace
 from .link import Link
 from .packet import Packet
@@ -214,33 +214,20 @@ class SwitchingSubsystem:
         net = self._node.net
         me = self._node.node_id
         links, to_ncu = self._groups[group_id]
+        sink = net.sink
         if to_ncu:
             copy = packet.delivery_copy()
             net.metrics.count_copy(me)
-            trace = net.trace
-            if trace.enabled:
-                trace.record(
-                    net.scheduler.now,
-                    TraceKind.PACKET_COPIED,
-                    me,
-                    packet=packet.seq,
-                    group=group_id,
-                )
+            if sink is not None:
+                sink.copy(net.scheduler.now, me, packet.seq, False, group_id)
             self._node.ncu.enqueue_packet(copy)
         # The dmax guard doubles as cycle protection: a mis-installed
         # cyclic group drops its packets instead of replicating forever.
         if packet.hops >= self._node.net.dmax:
             if links:
                 net.metrics.count_drop("group_hop_limit")
-                trace = net.trace
-                if trace.enabled:
-                    trace.record(
-                        net.scheduler.now,
-                        TraceKind.PACKET_DROPPED,
-                        me,
-                        packet=packet.seq,
-                        reason="group_hop_limit",
-                    )
+                if sink is not None:
+                    sink.drop(net.scheduler.now, me, packet.seq, "group_hop_limit")
             return
         remainder = packet.header[packet.header_pos:]
         for link in links:
@@ -263,17 +250,11 @@ class SwitchingSubsystem:
         me = self._node.node_id
         header = packet.header
         pos = packet.header_pos
+        sink = net.sink
         if pos >= len(header):
             net.metrics.count_drop("header_exhausted")
-            trace = net.trace
-            if trace.enabled:
-                trace.record(
-                    net.scheduler.now,
-                    TraceKind.PACKET_DROPPED,
-                    me,
-                    packet=packet.seq,
-                    reason="header_exhausted",
-                )
+            if sink is not None:
+                sink.drop(net.scheduler.now, me, packet.seq, "header_exhausted")
             return
 
         next_id = header[pos]
@@ -293,30 +274,17 @@ class SwitchingSubsystem:
         if to_ncu:
             copy = packet.delivery_copy()
             net.metrics.count_copy(me)
-            trace = net.trace
-            if trace.enabled:
-                trace.record(
-                    net.scheduler.now,
-                    TraceKind.PACKET_COPIED,
-                    me,
-                    packet=packet.seq,
-                    final=port is None,
-                )
+            if sink is not None:
+                sink.copy(net.scheduler.now, me, packet.seq, port is None, None)
             self._node.ncu.enqueue_packet(copy)
 
         if port is not None:
             self._forward(packet, port)
         elif not to_ncu:
             net.metrics.count_drop("unroutable_id")
-            trace = net.trace
-            if trace.enabled:
-                trace.record(
-                    net.scheduler.now,
-                    TraceKind.PACKET_DROPPED,
-                    me,
-                    packet=packet.seq,
-                    reason="unroutable_id",
-                    id=next_id,
+            if sink is not None:
+                sink.drop(
+                    net.scheduler.now, me, packet.seq, "unroutable_id", id=next_id
                 )
 
     def _forward(self, packet: Packet, port: Port) -> None:
@@ -330,17 +298,12 @@ class SwitchingSubsystem:
         net = self._node.net
         me = self._node.node_id
         link, other_id, receiving_normal, deliver = port
+        sink = net.sink
         if not link.active:
             net.metrics.count_drop("inactive_link")
-            trace = net.trace
-            if trace.enabled:
-                trace.record(
-                    net.scheduler.now,
-                    TraceKind.PACKET_DROPPED,
-                    me,
-                    packet=packet.seq,
-                    reason="inactive_link",
-                    link=link.key,
+            if sink is not None:
+                sink.drop(
+                    net.scheduler.now, me, packet.seq, "inactive_link", link=link.key
                 )
             return
 
@@ -356,22 +319,8 @@ class SwitchingSubsystem:
         packet.hops += 1
         packet._reverse.append(receiving_normal)
         net.metrics.count_hop(link.key)
-        probe = net.probe
-        if probe is not None:
-            probe.hop(link.key, now)
-        perf = net.perf
-        if perf is not None:
-            perf.ss_hops += 1
-        trace = net.trace
-        if trace.enabled:
-            trace.record(
-                now,
-                TraceKind.PACKET_HOP,
-                me,
-                packet=packet.seq,
-                link=link.key,
-                to=other_id,
-            )
+        if sink is not None:
+            sink.hop(now, me, packet.seq, link.key, other_id)
 
         # Walk the port tables through every pure transit hop: a normal
         # link ID (no copy bit; the NCU ID and group IDs are never in a
@@ -435,14 +384,13 @@ class SwitchingSubsystem:
         if not link.active:
             net = self._node.net
             net.metrics.count_drop("inactive_link")
-            trace = net.trace
-            if trace.enabled:
-                trace.record(
+            sink = net.sink
+            if sink is not None:
+                sink.drop(
                     net.scheduler.now,
-                    TraceKind.PACKET_DROPPED,
                     self._node.node_id,
-                    packet=packet.seq,
-                    reason="inactive_link",
+                    packet.seq,
+                    "inactive_link",
                     link=link.key,
                 )
             return
@@ -457,8 +405,8 @@ class Leg:
     hop ``k``'s departure and ``times[k + 1]`` its arrival, so
     ``times[-1]`` is when the leg lands.  The walked hops are committed
     — header cursor, hop count, reverse ANR, per-link counts, FIFO
-    watermark, probe, perf and ``PACKET_HOP`` records stamped with each
-    hop's departure — when the leg lands or when a link change splits
+    watermark and a sink ``hop`` stamped with each hop's departure —
+    when the leg lands or when a link change splits
     it, so the paper's accounting matches one event per hop.
 
     What differs is the event stream: fewer events, and the landing
@@ -541,24 +489,10 @@ class Leg:
             elif arrival > link._arrival_v:
                 link._arrival_v = arrival
             here = other_id
-        probe = net.probe
-        if probe is not None:
-            for key, departed in zip(keys, times[1:upto]):
-                probe.hop(key, departed)
-        perf = net.perf
-        if perf is not None:
-            perf.ss_hops += walked
-        trace = net.trace
-        if trace.enabled:
+        sink = net.sink
+        if sink is not None:
             seq = packet.seq
             here = ports[0][1]
-            for (link, other_id, _, _), departed in zip(hops, times[1:upto]):
-                trace.record(
-                    departed,
-                    TraceKind.PACKET_HOP,
-                    here,
-                    packet=seq,
-                    link=link.key,
-                    to=other_id,
-                )
+            for key, (_, other_id, _, _), departed in zip(keys, hops, times[1:upto]):
+                sink.hop(departed, here, seq, key, other_id)
                 here = other_id

@@ -27,6 +27,7 @@ from ..metrics.accounting import MetricsCollector
 from ..sim.delays import DelayModel, limiting_model
 from ..sim.errors import ProtocolError
 from ..sim.scheduler import Scheduler
+from ..sim.sink import Sink, ambient, compose
 from ..sim.trace import Trace, TraceKind
 from .datalink import DataLinkMonitor
 from .protocol import ProtocolFactory
@@ -35,13 +36,32 @@ from .protocol import ProtocolFactory
 class Network:
     """A simulated fast network with SS/NCU nodes."""
 
-    #: Perf-counter registry (see :mod:`repro.obs.perf`).  A class
-    #: attribute so process-global activation reaches every network —
-    #: including those built inside campaign task functions — and
-    #: survives :meth:`reset`; a per-network install shadows it with an
-    #: instance attribute.  ``None`` means dormant: the SS/NCU hot
-    #: paths then pay one attribute load + identity check per hook.
-    perf: Any = None
+    __slots__ = (
+        "graph",
+        "scheduler",
+        "delays",
+        "metrics",
+        "trace",
+        "dmax",
+        "outputs",
+        "sink",
+        "_subscribers",
+        "_ambient",
+        "_packet_seq",
+        "_group_seq",
+        "_legs",
+        "_datalink",
+        "_protocol_factory",
+        "_topology_version",
+        "_active_graph_cache",
+        "_adjacency_cache",
+        "_diameter_cache",
+        "id_space",
+        "nodes",
+        "links",
+        # PerfCounters holds observed networks weakly.
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -106,11 +126,13 @@ class Network:
         self.trace = Trace(enabled=trace, capacity=trace_capacity)
         self.dmax = dmax if dmax is not None else 2 * graph.number_of_nodes() + 2
         self.outputs: dict[Any, dict[str, Any]] = {}
-        #: Observability probe (see :mod:`repro.obs.live`).  ``None``
-        #: means disabled; the NCU and SS hot paths then pay one
-        #: attribute load + identity check per hook site.  Install via
-        #: ``LiveStats.install(net)`` rather than assigning directly.
-        self.probe: Any = None
+        #: Per-network subscribers (:meth:`subscribe`) and the ambient
+        #: ones joined at build/reset (see :mod:`repro.sim.sink`).
+        self._subscribers: tuple[Sink, ...] = ()
+        self._ambient: tuple[Sink, ...] = ()
+        #: The one observation hook of every hot SS/NCU/link site:
+        #: ``None`` while nothing observes (see :mod:`repro.sim.sink`).
+        self.sink: Sink | None = None
 
         self._packet_seq = itertools.count(1)
         self._group_seq = itertools.count(0)
@@ -214,6 +236,7 @@ class Network:
             ss_u._port_by_id[flag | normal_u] = port_u
             ss_v._port_by_id[normal_v] = port_v
             ss_v._port_by_id[flag | normal_v] = port_v
+        self._join_ambient()
 
     # ------------------------------------------------------------------
     # Shape
@@ -327,6 +350,44 @@ class Network:
         return g
 
     # ------------------------------------------------------------------
+    # Observation
+    # ------------------------------------------------------------------
+    def subscribe(self, sub: Sink) -> None:
+        """Deliver this network's sink calls to ``sub`` too (idempotent).
+
+        Per-network: :meth:`reset` drops the subscription.  ``sub`` is
+        told through :meth:`Sink.attach` once it is in place.
+        """
+        if sub in self._subscribers or sub in self._ambient:
+            return
+        self._subscribers += (sub,)
+        self._resink()
+        sub.attach(self)
+
+    def unsubscribe(self, sub: Sink) -> None:
+        """Stop delivering to ``sub``, per-network or ambient (idempotent)."""
+        if sub not in self._subscribers and sub not in self._ambient:
+            return
+        self._subscribers = tuple(s for s in self._subscribers if s is not sub)
+        self._ambient = tuple(s for s in self._ambient if s is not sub)
+        self._resink()
+        sub.detach(self)
+
+    def is_ambient(self, sub: Sink) -> bool:
+        """Whether ``sub`` observes this network as an ambient subscriber."""
+        return sub in self._ambient
+
+    def _join_ambient(self) -> None:
+        self._ambient = tuple(s for s in ambient() if s not in self._subscribers)
+        self._resink()
+        for sub in self._ambient:
+            sub.attach(self)
+
+    def _resink(self) -> None:
+        trace = (self.trace,) if self.trace.enabled else ()
+        self.sink = compose(trace + self._subscribers + self._ambient)
+
+    # ------------------------------------------------------------------
     # Substrate reuse
     # ------------------------------------------------------------------
     def reset(self, *, delays: DelayModel | None = None) -> "Network":
@@ -340,8 +401,9 @@ class Network:
         ``enabled``/``capacity`` configuration), empty outputs, no
         protocol/handler on any node, empty NCU queues, no installed
         multicast groups, all links active with FIFO watermarks at 0,
-        restarted packet/group sequences, a cleared data-link monitor
-        and no observability probe.
+        restarted packet/group sequences and a cleared data-link
+        monitor.  Per-network sink subscribers are dropped; the ambient
+        ones in force now are joined again (:mod:`repro.sim.sink`).
 
         The contract is **bit-identity**: a workload run on a reset
         network produces byte-for-byte the same metrics, drop reasons,
@@ -354,14 +416,13 @@ class Network:
 
         Returns ``self`` so callers can chain ``net.reset().attach(...)``.
         """
+        for sub in self._subscribers + self._ambient:
+            sub.detach(self)
+        self._subscribers = ()
         self.scheduler = Scheduler()
         self.metrics = MetricsCollector()
         self.trace = Trace(enabled=self.trace.enabled, capacity=self.trace.capacity)
         self.outputs = {}
-        self.probe = None
-        # Drop any per-network perf install (global activations live on
-        # the class and are deliberately untouched).
-        self.__dict__.pop("perf", None)
         self._packet_seq = itertools.count(1)
         self._group_seq = itertools.count(0)
         self._legs = {}
@@ -380,6 +441,7 @@ class Network:
             self._topology_version += 1
         for node in self.nodes.values():
             node.reset()
+        self._join_ambient()
         return self
 
     # ------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Observability: spans, exporters, live stats and run manifests.
 
 Built on top of the :class:`~repro.sim.trace.Trace` flight recorder and
-the substrate's probe hooks.  Everything here is *pull*: the simulator
-never imports this package, so observability can evolve without
-touching the hot path (whose only concession is one ``is not None``
-check per hook site — see ``benchmarks/bench_obs_overhead.py``).
+the substrate's observation sink (:mod:`repro.sim.sink`).  The simulator
+never imports this package: collectors subscribe to it, so observability
+can evolve without touching the hot path (whose only concession is one
+``is not None`` check per hook site — see
+``benchmarks/bench_obs_overhead.py``).
 """
 
 from .bench import (

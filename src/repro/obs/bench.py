@@ -778,8 +778,9 @@ def run_benchmark(name: str, *, perf: bool = False) -> dict[str, Any]:
 
     The document is ``{"bench": name, "metrics": {...},
     "manifest": {...}}`` — what ``BENCH_<name>.json`` holds on disk.
-    With ``perf`` a process-global :class:`~repro.obs.perf.PerfCounters`
-    registry runs alongside and its breakdown lands in a separate
+    With ``perf`` a :class:`~repro.obs.perf.PerfCounters` registry is
+    activated alongside (nesting with any outer activation) and its
+    breakdown lands in a separate
     ``"perf"`` block; the ``"metrics"`` block — the only part
     regression gating reads — is byte-identical either way (counters
     never touch behaviour, locked by the golden-equivalence suite).

@@ -11,8 +11,8 @@ recorder, so month-long runs cost O(capacity) memory.  When the
 network's trace is enabled the samples are mirrored into it too, so
 ``--trace-out`` files and Chrome exports carry the queue counters.
 
-Record shape (also produced inline by ``Link.fc_forward`` on stalls
-when tracing is on)::
+Record shape (also what the trace records for each stall through its
+sink subscription when tracing is on)::
 
     TraceRecord(time, QUEUE, node=<sender id>,
                 detail={"link": key, "occupancy": n,
@@ -120,7 +120,7 @@ class CongestionProbe:
                     node=state.sender, detail=detail,
                 )
             )
-            if trace is not None and trace.enabled:
+            if trace is not None:
                 trace.record(now, TraceKind.QUEUE, state.sender, **detail)
 
     # ------------------------------------------------------------------

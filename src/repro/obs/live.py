@@ -4,7 +4,8 @@
 substrate exposes —
 
 * the scheduler's observer hook (fired after every simulation event),
-* the network's probe (NCU job start/end, link hops) —
+* the network's sink (NCU job start, hops, copies, link queues; see
+  :mod:`repro.sim.sink`) —
 
 and folds everything into **bounded** state: fixed-bin histograms plus
 per-node / per-link counters whose cardinality is capped by the network
@@ -16,12 +17,13 @@ Collected measures:
 * event-queue depth (live events only — cancelled timers excluded),
 * wall-clock microseconds per simulated event (simulator throughput),
 * NCU service time per job and cumulative busy time per node,
-* hop counts per link,
+* hop counts per link and the number of NCU copies,
 * queue occupancy and credit-stall times on flow-controlled links.
 
-When nothing is installed the hooks cost the substrate one attribute
-load and one identity check per event — see ``bench_obs_overhead.py``
-for the proof.
+Any number of collectors, traces and perf registries may observe one
+network at once.  When nothing is installed the hooks cost the
+substrate one attribute load and one identity check per site — see
+``bench_obs_overhead.py`` for the proof.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, Any, Hashable, Mapping, Sequence
 
 from ..metrics.report import format_table
+from ..sim.sink import Sink
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..network.network import Network
@@ -170,11 +173,10 @@ class Histogram:
         return hist
 
 
-class LiveStats:
+class LiveStats(Sink):
     """Streaming run statistics; install on a network, read any time.
 
-    Implements both the scheduler-observer and the network-probe
-    protocols.  ``sample_queue_every`` thins the queue-depth sampling
+    A scheduler observer and a sink subscriber at once.  ``sample_queue_every`` thins the queue-depth sampling
     (every k-th event) for very hot runs; 1 samples every event.
     """
 
@@ -210,6 +212,7 @@ class LiveStats:
             stall_bounds or Histogram.geometric(0.01, 1_000.0, 12).bounds
         )
         self.events_seen = 0
+        self.copies = 0
         self.ncu_busy_by_node: dict[Any, float] = {}
         self.jobs_by_kind: Counter = Counter()
         self.hops_by_link: Counter = Counter()
@@ -223,12 +226,10 @@ class LiveStats:
     # Installation
     # ------------------------------------------------------------------
     def install(self, net: "Network") -> "LiveStats":
-        """Attach to a network's scheduler and probe; returns self."""
-        if net.probe is not None and net.probe is not self:
-            raise RuntimeError("another probe is already installed")
+        """Attach to a network's scheduler and sink; returns self."""
         self._net = net
         self._scheduler = net.scheduler
-        net.probe = self
+        net.subscribe(self)
         net.scheduler.add_observer(self.on_event)
         return self
 
@@ -237,8 +238,7 @@ class LiveStats:
         if self._net is None:
             return
         self._net.scheduler.remove_observer(self.on_event)
-        if self._net.probe is self:
-            self._net.probe = None
+        self._net.unsubscribe(self)
         self._net = None
         self._scheduler = None
 
@@ -259,29 +259,42 @@ class LiveStats:
             self.queue_depth.add(self._scheduler.pending_live)
 
     # ------------------------------------------------------------------
-    # Network probe
+    # Sink calls
     # ------------------------------------------------------------------
-    def ncu_job_start(self, node: Any, kind: str, now: float, service: float) -> None:
+    def ncu_begin(
+        self, time: float, node: Any, kind: str, seq: int | None, service: float
+    ) -> None:
         """One NCU job entered service (= one system call)."""
         self.service_time.add(service)
         self.ncu_busy_by_node[node] = self.ncu_busy_by_node.get(node, 0.0) + service
         self.jobs_by_kind[kind] += 1
 
-    def ncu_job_end(self, node: Any, kind: str, now: float) -> None:
-        """One NCU job finished its handler (symmetry hook)."""
-
-    def hop(self, link_key: Hashable, now: float) -> None:
+    def hop(self, time: float, node: Any, seq: int, link: Hashable, to: Any) -> None:
         """One packet traversed one link."""
-        self.hops_by_link[link_key] += 1
+        self.hops_by_link[link] += 1
 
-    def link_queue(self, link_key: Hashable, depth: int, now: float) -> None:
+    def copy(
+        self, time: float, node: Any, seq: int, final: bool, group: int | None
+    ) -> None:
+        """One packet was copied to an NCU."""
+        self.copies += 1
+
+    def queue(
+        self,
+        time: float,
+        node: Any,
+        seq: int,
+        link: Hashable,
+        occupancy: int,
+        stalled: int | None,
+    ) -> None:
         """A flow-controlled link's occupancy changed (stall or xmit)."""
-        self.queue_occupancy.add(depth)
+        self.queue_occupancy.add(occupancy)
 
-    def link_stall(self, link_key: Hashable, waited: float, now: float) -> None:
+    def release(self, time: float, link: Hashable, waited: float) -> None:
         """A stalled packet finally got a credit after ``waited`` time."""
         self.link_stall_time.add(waited)
-        self.stalls_by_link[link_key] += 1
+        self.stalls_by_link[link] += 1
 
     # ------------------------------------------------------------------
     # Reading

@@ -3,12 +3,14 @@
 Two complementary tools, both dormant-by-default:
 
 * :class:`PerfCounters` — a registry of monotonic per-subsystem counters
-  and wall-clock timers (scheduler push/pop, SS hops, NCU job service,
-  trace emission, substrate build/reset) that the hot path feeds behind
-  the same ``is not None`` guard idiom the trace and probe hooks use.
-  When nothing is installed every hook site costs one attribute load
-  plus one identity check — ``benchmarks/bench_obs_overhead.py`` bounds
-  the total at ≤5% of the stripped loop.  Counters of parallel campaign
+  and wall-clock timers (scheduler push/pop, SS hops and copies, NCU
+  job service, trace emission, substrate build/reset).  It is one
+  subscriber of the network's observation sink (:mod:`repro.sim.sink`)
+  and reads the kernel's and the trace's own ledgers as deltas, so the
+  scheduler carries no hook for it.  When nothing observes, every sink
+  site costs one attribute load plus one identity check —
+  ``benchmarks/bench_obs_overhead.py`` bounds the total at ≤5% of the
+  same code with the guards stripped.  Counters of parallel campaign
   workers merge losslessly (:meth:`PerfCounters.merge`), including the
   NCU handler wall-time histogram, whose bin bounds are fixed
   process-wide for exactly that reason.
@@ -22,15 +24,16 @@ Two complementary tools, both dormant-by-default:
 
 Activation comes in two scopes:
 
-* ``counters.install(net)`` instruments one network (instance
-  attributes on the network, its scheduler and its trace);
-* ``counters.activate()`` patches the *class* attributes, so every
-  network built afterwards in this process feeds the same registry —
-  how campaign workers attribute whole tasks without threading a handle
-  into task functions.  ``PerfCounters.deactivate()`` undoes it.
+* ``counters.install(net)`` subscribes to one network until
+  :meth:`~PerfCounters.uninstall` or the network's ``reset()``;
+* ``counters.activate()`` (or ``with counters:``) is an ambient
+  subscription: every network built or reset while it is active feeds
+  the registry — how campaign workers attribute whole tasks without
+  threading a handle into task functions.  :meth:`~PerfCounters.deactivate`
+  folds what those networks counted and unsubscribes.  Activations nest:
+  each registry counts, whatever the others do.
 
-The simulator still never imports this package: the hot path only
-pattern-matches on ``perf`` attributes that default to ``None``.
+The simulator still never imports this package.
 """
 
 from __future__ import annotations
@@ -40,12 +43,14 @@ import os
 import sys
 import threading
 import tracemalloc
+import weakref
 from collections import deque
 from pathlib import Path
 from time import perf_counter as _perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from ..metrics.report import format_table
+from ..sim.sink import Sink, subscribe_ambient, unsubscribe_ambient
 from .live import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,6 +77,7 @@ COUNTER_FIELDS = (
     # ``sched_push == sched_pop + sched_cancelled_drops + pending``.
     "sched_cancelled_drops",
     "ss_hops",
+    "ss_copies",
     "ncu_jobs",
     "trace_records",
     "substrate_builds",
@@ -88,20 +94,90 @@ TIMER_FIELDS = (
     "substrate_reset_s",
 )
 
+#: Fields the kernel and the trace keep themselves.  A registry reads
+#: them as deltas of every network it observes (:class:`_Watch`).
+LEDGER_FIELDS = (
+    "sched_push",
+    "sched_pop",
+    "sched_cancelled_drops",
+    "trace_records",
+    "sched_run_s",
+)
 
-class PerfCounters:
-    """Per-subsystem monotonic counters, timers and a service histogram.
 
-    All counter/timer fields are plain attributes so the hot path pays
-    one in-place add per hook, nothing more.  ``handler_us`` is the NCU
-    handler wall-time histogram (microseconds, fixed bounds).
+class _Watch:
+    """One observed network's ledger readings when observation began.
+
+    Holds the scheduler and trace of that moment, not the network, so a
+    registry keeps no substrate alive; ``net`` is a weak reference used
+    only to unsubscribe on deactivation.
     """
 
-    __slots__ = COUNTER_FIELDS + TIMER_FIELDS + (
+    __slots__ = ("net", "scheduler", "trace", "start")
+
+    def __init__(self, net: "Network") -> None:
+        self.net = weakref.ref(net)
+        self.scheduler = net.scheduler
+        self.trace = net.trace
+        self.start = self.readings()
+
+    def readings(self) -> tuple[float, ...]:
+        sched = self.scheduler
+        return (
+            sched.events_scheduled,
+            sched.events_processed,
+            sched.pending,
+            len(self.trace),
+            sched.run_seconds,
+        )
+
+    def deltas(self) -> tuple[float, ...]:
+        """Ledger deltas in :data:`LEDGER_FIELDS` order."""
+        push, pop, pending, records, run_s = (
+            now - then for now, then in zip(self.readings(), self.start)
+        )
+        # Every entry pushed or pending since the start was popped,
+        # swept out cancelled, or is still pending.
+        return (push, pop, push - pop - pending, records, run_s)
+
+
+def _ledger(index: int) -> property:
+    def get(self: "PerfCounters") -> float:
+        return self._ledger[index] + sum(w.deltas()[index] for w in self._watches)
+
+    def set_(self: "PerfCounters", value: float) -> None:
+        self._ledger[index] = value - sum(w.deltas()[index] for w in self._watches)
+
+    return property(get, set_, doc=f"``{LEDGER_FIELDS[index]}``, read from the ledgers.")
+
+
+class PerfCounters(Sink):
+    """Per-subsystem monotonic counters, timers and a service histogram.
+
+    A sink subscriber: each typed call is one in-place add, nothing
+    more.  The scheduler and trace fields (:data:`LEDGER_FIELDS`) are
+    read from the kernel's own ledger instead.  ``handler_us`` is the
+    NCU handler wall-time histogram (microseconds, fixed bounds).
+    """
+
+    __slots__ = tuple(
+        name for name in COUNTER_FIELDS + TIMER_FIELDS if name not in LEDGER_FIELDS
+    ) + (
         "handler_us", "link_occupancy", "build_bytes_per_node", "_rate_samples",
+        "_ledger", "_watches",
     )
 
+    sched_push = _ledger(0)
+    sched_pop = _ledger(1)
+    sched_cancelled_drops = _ledger(2)
+    trace_records = _ledger(3)
+    sched_run_s = _ledger(4)
+
     def __init__(self) -> None:
+        #: Ledger totals folded in from networks no longer observed.
+        self._ledger: list[float] = [0, 0, 0, 0, 0.0]
+        #: Networks observed now, one :class:`_Watch` each.
+        self._watches: list[_Watch] = []
         self.clear()
 
     def clear(self) -> None:
@@ -123,54 +199,41 @@ class PerfCounters:
     # Activation
     # ------------------------------------------------------------------
     def install(self, net: "Network") -> "PerfCounters":
-        """Instrument one network (and its scheduler/trace); returns self.
+        """Subscribe to one network; returns self.
 
         Instance-scoped: other networks in the process are untouched.
-        Note that :meth:`Network.reset` replaces the scheduler and the
-        trace, dropping this installation — reinstall after a reset, or
-        use :meth:`activate` for process-wide collection that survives
-        resets.
+        :meth:`Network.reset` drops the subscription (what was counted
+        stays) — reinstall after a reset, or use :meth:`activate` for
+        process-wide collection that survives resets.
         """
-        net.perf = self
-        net.scheduler.perf = self
-        net.trace.perf = self
+        net.subscribe(self)
         self.mark()
         return self
 
     def uninstall(self, net: "Network") -> None:
         """Undo :meth:`install` (idempotent; keeps collected data)."""
-        for obj in (net, net.scheduler, net.trace):
-            if obj.__dict__.get("perf") is self:
-                del obj.__dict__["perf"]
+        net.unsubscribe(self)
 
     def activate(self) -> "PerfCounters":
-        """Collect from every network in this process; returns self.
+        """Collect from every network built or reset from now on; returns self.
 
-        Sets the ``perf`` *class* attributes on the substrate types, so
-        networks built before or after this call all feed this registry
-        (per-network :meth:`install`\\ ations shadow it).  Campaign
-        workers use this to attribute whole tasks.
+        An ambient subscription (:func:`repro.sim.sink.subscribe_ambient`):
+        networks that already exist join at their next ``reset()``.
+        Campaign workers use this to attribute whole tasks.
         """
-        from ..network.network import Network
-        from ..sim.scheduler import Scheduler
-        from ..sim.trace import Trace
-
-        Scheduler.perf = self
-        Trace.perf = self
-        Network.perf = self
+        subscribe_ambient(self)
         self.mark()
         return self
 
-    @staticmethod
-    def deactivate() -> None:
-        """Undo :meth:`activate` for whatever registry is active."""
-        from ..network.network import Network
-        from ..sim.scheduler import Scheduler
-        from ..sim.trace import Trace
-
-        Scheduler.perf = None
-        Trace.perf = None
-        Network.perf = None
+    def deactivate(self) -> None:
+        """Undo :meth:`activate`: fold and leave every ambient network."""
+        unsubscribe_ambient(self)
+        for watch in list(self._watches):
+            net = watch.net()
+            if net is None:
+                self._fold(watch)
+            elif net.is_ambient(self):
+                net.unsubscribe(self)
 
     def __enter__(self) -> "PerfCounters":
         return self.activate()
@@ -178,6 +241,62 @@ class PerfCounters:
     def __exit__(self, *exc: Any) -> bool:
         self.deactivate()
         return False
+
+    # ------------------------------------------------------------------
+    # Sink calls
+    # ------------------------------------------------------------------
+    def attach(self, net: "Network") -> None:
+        for watch in [w for w in self._watches if w.net() is None]:
+            self._fold(watch)  # its network is gone: keep the counts only
+        self._watches.append(_Watch(net))
+
+    def detach(self, net: "Network") -> None:
+        for watch in self._watches:
+            if watch.net() is net:
+                self._fold(watch)
+                return
+
+    def _fold(self, watch: _Watch) -> None:
+        deltas = watch.deltas()
+        self._watches.remove(watch)
+        for i, delta in enumerate(deltas):
+            self._ledger[i] += delta
+
+    def hop(self, time: float, node: Any, seq: int, link: Any, to: Any) -> None:
+        self.ss_hops += 1
+
+    def copy(
+        self, time: float, node: Any, seq: int, final: bool, group: int | None
+    ) -> None:
+        self.ss_copies += 1
+
+    def ncu_end(self, time: float, node: Any, kind: str, handler_s: float) -> None:
+        self.ncu_jobs += 1
+        self.ncu_handler_s += handler_s
+        self.handler_us.add(handler_s * 1e6)
+
+    def queue(
+        self,
+        time: float,
+        node: Any,
+        seq: int,
+        link: Any,
+        occupancy: int,
+        stalled: int | None,
+    ) -> None:
+        if stalled is None:
+            self.link_xmits += 1
+        else:
+            self.link_stalls += 1
+        self.link_occupancy.add(occupancy)
+
+    def substrate(self, reused: bool, seconds: float) -> None:
+        if reused:
+            self.substrate_resets += 1
+            self.substrate_reset_s += seconds
+        else:
+            self.substrate_builds += 1
+            self.substrate_build_s += seconds
 
     # ------------------------------------------------------------------
     # Rolling throughput meter

@@ -48,14 +48,27 @@ HeapEntry = tuple[float, int, int, Event]
 
 
 class Scheduler:
-    """Priority-queue driven simulation loop."""
+    """Priority-queue driven simulation loop.
 
-    #: Perf-counter registry (class attribute so a process-global
-    #: activation reaches every scheduler; instance installs shadow
-    #: it).  The simulator never imports the observability layer — it
-    #: only feeds whatever registry was injected here, behind the same
-    #: ``is not None`` guard the observer hook uses.
-    perf: Any = None
+    The kernel keeps its own ledger and no observation hook of its own
+    beyond the per-event observers: ``events_scheduled`` pushes,
+    ``events_processed`` pops, ``pending`` entries and the wall-clock
+    ``run_seconds`` spent in :meth:`run`.  Cancelled entries swept out
+    without firing are therefore ``events_scheduled - events_processed -
+    pending`` at any instant — what ``PerfCounters`` reads as deltas.
+    """
+
+    __slots__ = (
+        "_queue",
+        "_now",
+        "_seq",
+        "_events_processed",
+        "_running",
+        "_run_seconds",
+        "_cancelled_pending",
+        "_note_cancelled_cb",
+        "_observers",
+    )
 
     def __init__(self) -> None:
         self._queue: list[HeapEntry] = []
@@ -63,6 +76,7 @@ class Scheduler:
         self._seq: int = 0
         self._events_processed: int = 0
         self._running = False
+        self._run_seconds = 0.0
         #: Cancelled events still sitting in the heap.  Maintained via
         #: the events' ``on_cancel`` callback so :attr:`pending_live`
         #: is O(1) instead of a heap scan.
@@ -86,6 +100,16 @@ class Scheduler:
     def events_processed(self) -> int:
         """Number of events fired since construction."""
         return self._events_processed
+
+    @property
+    def events_scheduled(self) -> int:
+        """Number of events pushed since construction (cancelled included)."""
+        return self._seq
+
+    @property
+    def run_seconds(self) -> float:
+        """Wall-clock seconds spent inside :meth:`run` since construction."""
+        return self._run_seconds
 
     @property
     def pending(self) -> int:
@@ -163,9 +187,6 @@ class Scheduler:
         event.cancelled = False
         event.on_cancel = self._note_cancelled_cb
         heapq.heappush(self._queue, (time, priority, seq, event))
-        perf = self.perf
-        if perf is not None:
-            perf.sched_push += 1
         return event
 
     def schedule(
@@ -237,19 +258,16 @@ class Scheduler:
         self._running = True
         fired = 0
         # Hot-loop locals: attribute loads dominate a loop this tight,
-        # and hoisting them pays for the observability checks below.
+        # and hoisting them pays for the observer check below.
         observers = self._observers
         queue = self._queue
         pop = heapq.heappop
-        perf = self.perf
-        t_run = _perf_counter() if perf is not None else 0.0
+        t_run = _perf_counter()
         try:
             while True:
                 while queue and queue[0][3].cancelled:
                     pop(queue)
                     self._cancelled_pending -= 1
-                    if perf is not None:
-                        perf.sched_cancelled_drops += 1
                 if not queue:
                     break
                 entry = queue[0]
@@ -265,8 +283,6 @@ class Scheduler:
                 self._now = time
                 event.action(*event.args)
                 self._events_processed += 1
-                if perf is not None:
-                    perf.sched_pop += 1
                 if observers:
                     for observer in observers:
                         observer(event)
@@ -280,8 +296,7 @@ class Scheduler:
                     break
         finally:
             self._running = False
-            if perf is not None:
-                perf.sched_run_s += _perf_counter() - t_run
+            self._run_seconds += _perf_counter() - t_run
         return self._now
 
     def step(self) -> bool:
@@ -295,9 +310,6 @@ class Scheduler:
         self._now = entry[0]
         event.action(*event.args)
         self._events_processed += 1
-        perf = self.perf
-        if perf is not None:
-            perf.sched_pop += 1
         if self._observers:
             for observer in self._observers:
                 observer(event)
@@ -315,9 +327,6 @@ class Scheduler:
         self._cancelled_pending += 1
 
     def _drop_cancelled(self) -> None:
-        perf = self.perf
         while self._queue and self._queue[0][3].cancelled:
             heapq.heappop(self._queue)
             self._cancelled_pending -= 1
-            if perf is not None:
-                perf.sched_cancelled_drops += 1

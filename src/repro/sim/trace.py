@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Hashable, Iterator
+
+from .sink import Sink
 
 
 class TraceKind(Enum):
@@ -53,14 +55,15 @@ class TraceRecord:
         return f"[{self.time:10.4f}] {self.kind.value}{where} {extras}"
 
 
-class Trace:
-    """Append-only record store with simple filtering helpers."""
+class Trace(Sink):
+    """Append-only record store with simple filtering helpers.
 
-    #: Perf-counter registry (class attribute so a process-global
-    #: activation reaches every trace; instance installs shadow it).
-    #: The simulator never imports the observability layer — it only
-    #: feeds whatever registry was injected here.
-    perf: Any = None
+    A network subscribes its trace to its sink when tracing is enabled
+    (``Network(trace=True)``); the typed hot-path calls below become
+    records.  Everything else calls :meth:`record` directly.
+    """
+
+    __slots__ = ("enabled", "capacity", "records", "_dropped")
 
     def __init__(self, enabled: bool = True, capacity: int | None = None) -> None:
         self.enabled = enabled
@@ -81,10 +84,49 @@ class Trace:
         if self.capacity is not None and len(self.records) >= self.capacity:
             self._dropped += 1
             return
-        perf = self.perf
-        if perf is not None:
-            perf.trace_records += 1
         self.records.append(TraceRecord(time=time, kind=kind, node=node, detail=detail))
+
+    # ------------------------------------------------------------------
+    # Sink calls (see repro.sim.sink)
+    # ------------------------------------------------------------------
+    def hop(self, time: float, node: Any, seq: int, link: Hashable, to: Any) -> None:
+        self.record(time, TraceKind.PACKET_HOP, node, packet=seq, link=link, to=to)
+
+    def copy(
+        self, time: float, node: Any, seq: int, final: bool, group: int | None
+    ) -> None:
+        if group is None:
+            self.record(time, TraceKind.PACKET_COPIED, node, packet=seq, final=final)
+        else:
+            self.record(time, TraceKind.PACKET_COPIED, node, packet=seq, group=group)
+
+    def drop(self, time: float, node: Any, seq: int, reason: str, **detail: Any) -> None:
+        self.record(
+            time, TraceKind.PACKET_DROPPED, node, packet=seq, reason=reason, **detail
+        )
+
+    def ncu_begin(
+        self, time: float, node: Any, kind: str, seq: int | None, service: float
+    ) -> None:
+        self.record(time, TraceKind.NCU_JOB_START, node, job=kind, packet=seq)
+
+    def ncu_end(self, time: float, node: Any, kind: str, handler_s: float) -> None:
+        self.record(time, TraceKind.NCU_JOB_END, node, job=kind)
+
+    def queue(
+        self,
+        time: float,
+        node: Any,
+        seq: int,
+        link: Hashable,
+        occupancy: int,
+        stalled: int | None,
+    ) -> None:
+        if stalled is not None:
+            self.record(
+                time, TraceKind.QUEUE, node,
+                packet=seq, link=link, occupancy=occupancy, stalled=stalled,
+            )
 
     # ------------------------------------------------------------------
     # Queries

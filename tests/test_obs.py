@@ -9,10 +9,14 @@ import pytest
 
 from repro.core import BranchingPathsBroadcast, run_standalone_broadcast
 from repro.network.builder import from_spec
+from repro.hardware.anr import build_anr
+from repro.network.protocol import Protocol
 from repro.obs import (
     CampaignManifest,
+    CongestionProbe,
     Histogram,
     LiveStats,
+    PerfCounters,
     RunManifest,
     build_spans,
     children_index,
@@ -300,14 +304,45 @@ def test_live_stats_observe_a_run():
     rendered = stats.render()
     assert "queue depth" in rendered and "busiest NCU" in rendered
     stats.uninstall()
-    assert net.probe is None
+    assert net.sink is None
 
 
-def test_live_stats_exclusive_probe():
-    net = from_spec("ring:4", delays=FixedDelays(0.0, 1.0))
-    LiveStats().install(net)
-    with pytest.raises(RuntimeError, match="already installed"):
-        LiveStats().install(net)
+def test_subscribers_share_one_network():
+    """Trace, two LiveStats, PerfCounters and CongestionProbe observe one
+    flow-controlled network at once; each agrees with the Metrics ledger."""
+    net = from_spec("line:8", delays=FixedDelays(0.1, 1.0), trace=True)
+    net.set_flow_control(rate=2.0, buffer=1)
+    net.attach(lambda api: Protocol(api))
+    stats, twin = LiveStats().install(net), LiveStats().install(net)
+    counters = PerfCounters().install(net)
+    probe = CongestionProbe(net, sample_every=1).install()
+    header = build_anr(list(range(8)), net.id_lookup)
+    for i in range(20):
+        net.scheduler.schedule_at(
+            0.05 * i, net.node(0).inject, args=(header, i), tag="inject"
+        )
+    net.run_to_quiescence()
+
+    m, trace = net.metrics, net.trace
+    assert m.hops == 140 and m.copies == 20 and m.system_calls == 20
+    for live in (stats, twin):
+        assert live.total_hops == m.hops
+        assert live.copies == m.copies
+        assert live.total_jobs == m.system_calls
+        assert live.events_seen == net.scheduler.events_processed
+    assert counters.ss_hops == counters.link_xmits == m.hops
+    assert counters.ss_copies == m.copies
+    assert counters.ncu_jobs == m.system_calls
+    assert counters.sched_pop == net.scheduler.events_processed
+    assert counters.trace_records == len(trace)
+    assert trace.count(TraceKind.PACKET_HOP) == m.hops
+    assert trace.count(TraceKind.PACKET_COPIED) == m.copies
+    assert trace.count(TraceKind.NCU_JOB_START) == m.system_calls
+    stalls = sum(state.stalls for _, state in net.flow_states())
+    assert stalls > 0
+    assert trace.count(TraceKind.QUEUE) == counters.link_stalls == stalls
+    assert sum(stats.stalls_by_link.values()) == stalls
+    assert len(probe) > 0
 
 
 def test_live_stats_uninstall_is_idempotent():
@@ -315,7 +350,7 @@ def test_live_stats_uninstall_is_idempotent():
     stats = LiveStats().install(net)
     stats.uninstall()
     stats.uninstall()  # second uninstall must be a no-op
-    assert net.probe is None
+    assert net.sink is None
     assert stats.on_event not in net.scheduler._observers
     # Never-installed stats can be uninstalled without error too.
     LiveStats().uninstall()
@@ -325,12 +360,11 @@ def test_live_stats_double_install_same_instance_is_safe():
     net = from_spec("ring:4", delays=FixedDelays(0.0, 1.0))
     stats = LiveStats().install(net)
     stats.install(net)  # re-installing the same instance is allowed
-    assert net.probe is stats
+    assert net.sink is stats  # one subscriber: no fan-out in between
     assert net.scheduler._observers.count(stats.on_event) == 1
     stats.uninstall()
-    # After a clean detach another collector may take the probe slot.
     other = LiveStats().install(net)
-    assert net.probe is other
+    assert net.sink is other
 
 
 def test_live_stats_uninstall_stops_collection():

@@ -26,7 +26,9 @@ from repro.exec.task import TaskSpec
 from repro.network.builder import from_spec
 from repro.obs import (
     CampaignManifest,
+    CongestionProbe,
     Histogram,
+    LiveStats,
     PerfCounters,
     RunManifest,
     SamplingProfiler,
@@ -35,7 +37,7 @@ from repro.obs import (
 from repro.obs.bench import run_benchmark
 from repro.sim import FixedDelays
 
-from test_hotpath_equivalence import GOLDEN_PATH, SCENARIOS
+from test_hotpath_equivalence import GOLDEN_PATH, SCENARIO_PARTS, SCENARIOS
 
 
 def _flood_net(spec: str = "random:16,3"):
@@ -137,8 +139,8 @@ def test_install_and_uninstall_are_instance_scoped():
     before = counters.sched_pop
     _run_flood(from_spec("ring:8", delays=FixedDelays(0.5, 1.0)))
     assert counters.sched_pop == before
-    # Class attributes were never touched.
-    assert type(net.scheduler).perf is None
+    # Nothing process-wide was touched: a new network observes nothing.
+    assert _flood_net("ring:8").sink is None
 
 
 def test_global_activation_captures_networks_built_later():
@@ -150,9 +152,28 @@ def test_global_activation_captures_networks_built_later():
         _run_flood(net2)
     total = counters.sched_pop
     assert total == net.scheduler.events_processed + net2.scheduler.events_processed
-    # Deactivated: later runs are invisible.
+    # Deactivated: later runs are invisible, on old networks too.
     _run_flood(_flood_net("ring:8"))
+    net.reset()
+    _run_flood(net)
     assert counters.sched_pop == total
+
+
+def test_nested_activations_both_count():
+    """An inner activation (a serial perf campaign, a perf benchmark)
+    must not switch off an outer one."""
+    outer = PerfCounters().activate()
+    try:
+        outcome = run_campaign(_mc_specs(), jobs=1, perf=True)
+        run_benchmark("broadcast_grid", perf=True)
+        net = _flood_net("ring:8")
+        _run_flood(net)
+    finally:
+        outer.deactivate()
+    inner = sum(r.perf["counters"]["sched_pop"] for r in outcome.results)
+    assert inner > 0
+    assert outer.sched_pop > inner + net.scheduler.events_processed
+    assert outer.substrate_builds + outer.substrate_resets == len(outcome.results)
 
 
 def test_events_per_sec_meter_rolls():
@@ -202,11 +223,9 @@ def test_scheduler_ledger_balances():
     at quiescence — it is how a perf breakdown proves no event was lost
     or double-counted by the cancelled-entry sweeps.
     """
-    from repro.sim import Scheduler
-
-    sched = Scheduler()
-    counters = PerfCounters()
-    sched.perf = counters
+    net = from_spec("line:2")
+    counters = PerfCounters().install(net)
+    sched = net.scheduler
 
     def cancel_peer(victim):
         victim.cancel()
@@ -245,7 +264,9 @@ def test_render_is_presentable():
 # Observation must not perturb (acceptance criterion)
 # ----------------------------------------------------------------------
 def test_golden_equivalence_with_counters_enabled():
-    """The golden suite's documents are byte-identical under perf."""
+    """The golden suite's documents are byte-identical under perf, and
+    with every sink subscriber attached at once (the trace is on in
+    every scenario)."""
     golden = json.loads(GOLDEN_PATH.read_text())
     counters = PerfCounters().activate()
     try:
@@ -254,8 +275,19 @@ def test_golden_equivalence_with_counters_enabled():
             assert json.dumps(current, sort_keys=True) == json.dumps(
                 golden[name], sort_keys=True
             ), f"scenario {name} diverged with perf counters enabled"
+        for name, (build, drive, _) in SCENARIO_PARTS.items():
+            net = build()
+            stats = LiveStats().install(net)
+            installed = PerfCounters().install(net)
+            CongestionProbe(net, sample_every=1).install()
+            current = drive(net)
+            assert json.dumps(current, sort_keys=True) == json.dumps(
+                golden[name], sort_keys=True
+            ), f"scenario {name} diverged with every subscriber attached"
+            assert stats.total_hops == installed.ss_hops == net.metrics.hops
+            assert installed.ncu_jobs == net.metrics.system_calls
     finally:
-        PerfCounters.deactivate()
+        counters.deactivate()
     assert counters.sched_pop > 0 and counters.ss_hops > 0
 
 

@@ -10,6 +10,8 @@ instead of showing up as a benchmark drift three PRs later.
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 from repro.hardware.link import Link, LinkFlowState
@@ -22,9 +24,10 @@ from repro.sim.events import Event
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import Trace
 
-#: Every class whose instances scale with the network or event count.
-#: Each must declare ``__slots__`` in its own body and its instances
-#: must not grow a ``__dict__`` through any base class.
+#: Every class whose instances scale with the network or event count,
+#: plus the per-run classes every hot site reads.  Each must declare
+#: ``__slots__`` in its own body and its instances must not grow a
+#: ``__dict__`` through any base class.
 HOT_CLASSES = [
     Node,
     NCU,
@@ -35,6 +38,9 @@ HOT_CLASSES = [
     LinkFlowState,
     Packet,
     Event,
+    Scheduler,
+    Trace,
+    Network,
 ]
 
 
@@ -68,11 +74,11 @@ def test_port_entries_are_plain_tuples():
             assert type(entry) is tuple and len(entry) == 4
 
 
-@pytest.mark.parametrize("cls", [Network, Scheduler, Trace], ids=lambda c: c.__name__)
-def test_perf_shadow_classes_keep_dict(cls):
-    # Network/Scheduler/Trace intentionally stay un-slotted: the perf
-    # layer shadows class attributes (e.g. ``perf``) on instances, and
-    # there are only a handful of each per simulation.
-    assert "__slots__" not in cls.__dict__
-    has_dict = any("__dict__" in base.__dict__ for base in cls.__mro__[:-1])
-    assert has_dict, f"{cls.__name__} unexpectedly lost its instance __dict__"
+def test_network_is_weakly_referenceable():
+    # The one non-slot Network needs: a PerfCounters registry holds the
+    # networks it observes weakly, so it never keeps a substrate alive.
+    net = from_spec("line:2", trace=False)
+    assert weakref.ref(net)() is net
+    for obj in (net, net.scheduler, net.trace):
+        with pytest.raises(AttributeError):
+            obj.perf = None  # type: ignore[attr-defined]

@@ -66,7 +66,7 @@ def test_reset_restores_pristine_state() -> None:
     assert net.metrics.system_calls == 0
     assert net.metrics.hops == 0
     assert net.outputs == {}
-    assert net.probe is None
+    assert net.sink is net.trace  # the fresh trace, nothing else
     assert len(net.trace) == 0
     assert net.next_packet_seq() == 1
     for link in net.links.values():
